@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -289,6 +290,92 @@ func TestWriterResetZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("pooled Reset+encode = %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestReaderResetZeroAllocs is the decode-side pin: a pooled Reader
+// Reset + decode of an all-hit stream allocates nothing in steady
+// state.
+func TestReaderResetZeroAllocs(t *testing.T) {
+	dict := trainTestDict(t, Config{})
+	payload := sensorLikeData(1<<16, 81)[:1<<15]
+	var comp bytes.Buffer
+	zw, err := NewWriter(&comp, WithDict(dict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(comp.Bytes())
+	zr, err := NewReader(src, WithDict(dict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, len(payload))
+	cycle := func() {
+		src.Reset(comp.Bytes())
+		zr.Reset(src)
+		if _, err := io.ReadFull(zr, out); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := zr.Read(out[:1]); n != 0 || err != io.EOF {
+			t.Fatalf("stream end: %d, %v", n, err)
+		}
+	}
+	cycle()
+	if !bytes.Equal(out, payload) || zr.Stats.Misses != 0 {
+		t.Fatalf("all-hit stream decoded wrong or missed %d chunks", zr.Stats.Misses)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("pooled Reader Reset+decode = %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestStreamPairMissHeavyResetZeroAllocs pins the miss path: a Writer
+// and Reader re-serving an all-miss stream after Reset allocate
+// nothing, because both dictionaries keep their storage across Reset.
+// The narrow id space also keeps the LRU recycling identifiers.
+func TestStreamPairMissHeavyResetZeroAllocs(t *testing.T) {
+	payload := make([]byte, 1<<15)
+	rand.New(rand.NewSource(7)).Read(payload)
+	for _, cfg := range []Config{{}, {IDBits: 6}} {
+		var comp bytes.Buffer
+		zw, err := NewWriter(&comp, WithConfig(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := bytes.NewReader(nil)
+		zr, err := NewReader(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]byte, len(payload))
+		cycle := func() {
+			comp.Reset()
+			zw.Reset(&comp)
+			if _, err := zw.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			src.Reset(comp.Bytes())
+			zr.Reset(src)
+			if _, err := io.ReadFull(zr, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle()
+		if !bytes.Equal(out, payload) || zr.Stats.Hits != 0 {
+			t.Fatalf("%+v: all-miss stream decoded wrong or hit %d chunks", cfg, zr.Stats.Hits)
+		}
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Fatalf("%+v: miss-heavy Writer+Reader Reset cycle = %v allocs/op, want 0", cfg, allocs)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, one target per artifact (DESIGN.md §4). Each benchmark
+// evaluation, one target per artifact (README "Benchmarks"). Each benchmark
 // reports its headline quantity through b.ReportMetric, so
 //
 //	go test -bench=. -benchmem

@@ -9,8 +9,8 @@
 //	zipline-bench -compare old.json new.json [-tolerance 0.15]
 //
 // -quick scales the datasets and windows down (≈30× faster) for smoke
-// runs; the full run uses the paper-scale parameters recorded in
-// EXPERIMENTS.md.
+// runs; the full run uses the paper-scale parameters of
+// internal/experiments.
 //
 // -compare diffs two perf artifacts (the committed BENCH_*.json
 // baseline against a fresh bench-perf.json) and exits non-zero when
@@ -295,8 +295,7 @@ func runFig3(w io.Writer, quick bool, seed int64, rep *experiments.BenchArtifact
 // readings quantised to the GD grid plus transient single-bit
 // corruption on 60 % of records. GD absorbs the corruption in the
 // syndrome (same basis, same 3 B output); gzip pays for it — which is
-// what places both tools at the paper's operating point
-// (see EXPERIMENTS.md, workload construction).
+// what places both tools at the paper's operating point.
 func fig3SensorNoise() (*gd.Codec, float64, error) {
 	tr, err := gd.NewHammingM(8)
 	if err != nil {

@@ -38,6 +38,6 @@
 //
 // The implementation details live in internal/ packages (bit-level
 // CRC engine, Hamming codes, the Tofino pipeline model, the network
-// simulator); see DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-versus-measured record.
+// simulator); README's "How the repo maps to the paper" table is the
+// system inventory, and its "Benchmarks" section the measured record.
 package zipline

@@ -112,3 +112,18 @@ func Wrap(data []byte, n int) *Vector {
 	v.clearTail()
 	return v
 }
+
+// View points v at data without copying, so v aliases data as an
+// n-bit vector. It is Wrap for a caller-owned Vector header: a store
+// that keeps many bases in one flat buffer can hand each out as a
+// Vector without allocating. data must be exactly ceil(n/8) bytes with
+// any trailing pad bits already zero. Mutating v writes into data;
+// v's previous storage is dropped.
+//
+//zipline:noalloc
+func (v *Vector) View(data []byte, n int) {
+	if n < 0 || len(data) != (n+7)/8 {
+		panic("bitvec: View buffer size mismatch")
+	}
+	v.data, v.n = data, n
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrShortBuffer is returned by Reader when a read runs past the end
@@ -36,13 +37,56 @@ func (w *Writer) WriteBit(b bool) {
 }
 
 // WriteUint appends the low n bits of x, most significant first.
+// Widths up to 57 bits land through one 64-bit big-endian store at the
+// current byte: the partial byte's written bits are merged with x, and
+// the rest of the 8-byte window is overwritten, so bytes left in the
+// buffer's capacity by earlier writes never reach the output. Wider
+// values take two stores.
+//
+//zipline:noalloc
 func (w *Writer) WriteUint(x uint64, n int) {
+	bi := w.nbit >> 3
+	if uint(n) > 57 || bi+8 > cap(w.buf) {
+		w.writeUintSlow(x, n)
+		return
+	}
+	win := w.buf[bi : bi+8]
+	off := uint(w.nbit & 7)
+	v := x << (64 - uint(n)) >> off
+	if off != 0 {
+		// The partial byte's unwritten low bits are zero (the buffer
+		// invariant); a byte-aligned write must not read it at all, as
+		// it lies past len and may be stale.
+		v |= uint64(win[0]) << 56
+	}
+	binary.BigEndian.PutUint64(win, v)
+	w.nbit += n
+	w.buf = w.buf[:(w.nbit+7)>>3]
+}
+
+// writeUintSlow is WriteUint when the window needs room or the value
+// needs two stores.
+func (w *Writer) writeUintSlow(x uint64, n int) {
 	if n < 0 || n > 64 {
+		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
 		panic(fmt.Sprintf("bitvec: WriteUint width %d out of range", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBit(x>>uint(i)&1 == 1)
+	//ziplint:allow noalloc amortised growth; a Reset writer keeps its capacity
+	w.buf = slices.Grow(w.buf, 16)
+	if n > 57 {
+		w.WriteUint(x>>32, n-32)
+		n = 32
 	}
+	if n > 0 {
+		w.WriteUint(x, n)
+	}
+}
+
+// extend grows the buffer to nbytes, zeroing the new bytes.
+func (w *Writer) extend(nbytes int) {
+	old := len(w.buf)
+	w.buf = slices.Grow(w.buf, nbytes-old)[:nbytes]
+	clear(w.buf[old:])
 }
 
 // WriteVector appends every bit of v.
@@ -54,10 +98,7 @@ func (w *Writer) WriteVector(v *Vector) {
 		w.clearTail()
 		return
 	}
-	need := (w.nbit + v.n + 7) / 8
-	for len(w.buf) < need {
-		w.buf = append(w.buf, 0)
-	}
+	w.extend((w.nbit + v.n + 7) >> 3)
 	CopyBits(w.buf, w.nbit, v.data, 0, v.n)
 	w.nbit += v.n
 }
@@ -69,19 +110,19 @@ func (w *Writer) WriteBytes(p []byte) {
 		w.nbit += 8 * len(p)
 		return
 	}
-	for _, b := range p {
-		w.WriteUint(uint64(b), 8)
-	}
+	w.extend((w.nbit + 8*len(p) + 7) >> 3)
+	CopyBits(w.buf, w.nbit, p, 0, 8*len(p))
+	w.nbit += 8 * len(p)
 }
 
 // Pad appends zero bits until the stream is byte aligned, returning
 // the number of padding bits added. Mirrors the byte-alignment
-// padding the Tofino compiler forces onto non-aligned headers.
+// padding the Tofino compiler forces onto non-aligned headers. The
+// final byte's unwritten bits are already zero, so padding only
+// advances the bit count.
 func (w *Writer) Pad() int {
 	n := (8 - w.nbit&7) & 7
-	for i := 0; i < n; i++ {
-		w.WriteBit(false)
-	}
+	w.nbit += n
 	return n
 }
 
@@ -194,21 +235,28 @@ func (r *Reader) ReadUint(n int) (uint64, error) {
 
 // ReadVector consumes n bits into a new Vector.
 func (r *Reader) ReadVector(n int) (*Vector, error) {
-	if r.pos+n > r.n {
+	if n < 0 || r.pos+n > r.n {
 		return nil, ErrShortBuffer
 	}
 	out := New(n)
-	if r.pos&7 == 0 {
-		copy(out.data, r.data[r.pos>>3:])
-		out.clearTail()
-		r.pos += n
-		return out, nil
-	}
-	for i := 0; i < n; i++ {
-		b, _ := r.ReadBit()
-		out.Set(i, b)
-	}
+	CopyBits(out.data, 0, r.data, r.pos, n)
+	r.pos += n
 	return out, nil
+}
+
+// ReadVectorInto consumes n bits into v, reusing v's storage when it
+// has capacity (see Vector.Reset). It is ReadVector for decoders that
+// keep one scratch vector per stream.
+//
+//zipline:noalloc
+func (r *Reader) ReadVectorInto(v *Vector, n int) error {
+	if n < 0 || r.pos+n > r.n {
+		return ErrShortBuffer
+	}
+	v.Reset(n)
+	CopyBits(v.data, 0, r.data, r.pos, n)
+	r.pos += n
+	return nil
 }
 
 // Skip discards n bits.

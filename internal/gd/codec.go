@@ -19,6 +19,12 @@ type Codec struct {
 	t         Transform
 	extraBits int // 0..7, at the MSB end of the chunk
 	chunkBits int
+
+	// ham is t when it is the paper's Hamming transform, which the byte
+	// kernels in fastpath.go serve; words256 marks its m = 8 point,
+	// whose 256-bit chunk the kernels move as four 64-bit words.
+	ham      *Hamming
+	words256 bool
 }
 
 // Split is the result of encoding one chunk: the dictionary-keyed
@@ -39,7 +45,10 @@ type Split struct {
 // to the next byte boundary.
 func NewCodec(t Transform) *Codec {
 	extra := (8 - t.WordBits()&7) & 7
-	return &Codec{t: t, extraBits: extra, chunkBits: t.WordBits() + extra}
+	c := &Codec{t: t, extraBits: extra, chunkBits: t.WordBits() + extra}
+	c.ham, _ = t.(*Hamming)
+	c.words256 = c.ham != nil && c.ham.code.M() == 8 && c.chunkBits == 256
+	return c
 }
 
 // Transform returns the wrapped transform.
@@ -70,10 +79,9 @@ func (c *Codec) EncodedBits() int {
 
 // SplitChunk encodes one chunk of exactly ChunkBytes bytes.
 func (c *Codec) SplitChunk(chunk []byte) (Split, error) {
-	if h, ok := c.t.(*Hamming); ok {
-		return c.splitHamming(h, chunk)
-	}
-	return c.splitGeneric(chunk)
+	var s Split
+	err := c.SplitChunkInto(chunk, &s)
+	return s, err
 }
 
 // splitGeneric encodes a chunk through the Transform interface; the
@@ -96,8 +104,8 @@ func (c *Codec) splitGeneric(chunk []byte) (Split, error) {
 // MergeChunk reconstructs the original chunk, appending it to dst and
 // returning the extended slice.
 func (c *Codec) MergeChunk(s Split, dst []byte) ([]byte, error) {
-	if h, ok := c.t.(*Hamming); ok {
-		return c.mergeHamming(h, s, dst)
+	if c.ham != nil {
+		return c.mergeHamming(s, dst)
 	}
 	word, err := c.t.Merge(s.Basis, s.Deviation)
 	if err != nil {

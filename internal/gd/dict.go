@@ -1,8 +1,9 @@
 package gd
 
 import (
-	"container/list"
+	"bytes"
 	"fmt"
+	"hash/maphash"
 
 	"zipline/internal/bitvec"
 )
@@ -16,16 +17,34 @@ import (
 // Dictionary is the in-process (single-node) variant used by the
 // stream compressor and by workload analysis; the switch tables in
 // zipline/internal/zswitch enforce the same policy through the
-// simulated control plane. Not safe for concurrent use.
+// simulated control plane. All bases in one Dictionary have the same
+// length, fixed by the first basis inserted (or by the frozen prefix).
+// Not safe for concurrent use.
+//
+// The store is flat and indexed by identifier: dynamic identifier
+// base+s keeps its basis at arena[s*stride:], its LRU links at
+// links[s], and is filed in an open-addressing hash index. Nothing
+// is allocated per entry, and the slices grow with the entries
+// inserted, never to the full 2^t up front.
 type Dictionary struct {
 	idBits   int
 	capacity int
-	byKey    map[string]*list.Element // basis key -> entry
-	byID     []*list.Element          // id -> entry (nil if free); grows on demand
-	order    *list.List               // front = most recently used
-	freed    []uint32                 // ids returned by Remove, LIFO
-	next     uint32                   // first never-allocated id
-	keyBuf   []byte                   // scratch for allocation-free lookups
+
+	nbits  int // basis length in bits; -1 until the first basis
+	stride int // basis length in bytes
+	arena  []byte
+	// links thread the mapped slots into the recency list, head the
+	// most recently used; links[s].prev == slotFree marks a slot whose
+	// identifier waits on freed. len(links) is the number of slots
+	// ever allocated.
+	links      []lruLink
+	head, tail int32
+	live       int
+	index      basisIndex
+	freed      []uint32 // ids returned by Remove, LIFO
+
+	views   []bitvec.Vector // per-slot headers handed out by LookupID
+	evicted bitvec.Vector   // the basis the last Insert recycled
 
 	// frozen is an optional immutable prefix shared read-only with any
 	// number of other dictionaries (the pre-trained basis dictionary of
@@ -36,50 +55,71 @@ type Dictionary struct {
 	base   uint32 // first dynamic id == frozen.Len()
 }
 
+// lruLink is one slot's place in the recency list. Both neighbours
+// share a cache line, so a refresh touches one line per slot.
+type lruLink struct{ prev, next int32 }
+
+// Sentinels in the recency links.
+const (
+	slotNone int32 = -1 // end of the recency list
+	slotFree int32 = -2 // prev of a slot whose id is on the free list
+)
+
 // Frozen is an immutable basis→identifier mapping: identifiers are
 // assigned densely in insertion order at construction and never change.
 // A Frozen is safe for concurrent use by any number of Dictionaries —
 // all its state is written once in NewFrozen and only read afterwards.
 type Frozen struct {
-	byKey map[string]uint32
-	bases []*bitvec.Vector
+	nbits  int
+	stride int
+	arena  []byte          // basis of id i at arena[i*stride:]
+	views  []bitvec.Vector // id → vector aliasing the arena
+	index  basisIndex
 }
 
 // NewFrozen builds a frozen dictionary from bases, assigning ids
-// 0..n-1 in order. Duplicate bases keep their first id; the vectors
-// are cloned, so the caller's slices stay free to mutate.
+// 0..n-1 in order. Duplicate bases keep their first id; the bases are
+// copied, so the caller's vectors stay free to mutate. All bases must
+// have the same length.
 func NewFrozen(bases []*bitvec.Vector) *Frozen {
-	f := &Frozen{byKey: make(map[string]uint32, len(bases))}
+	f := &Frozen{nbits: -1, index: basisIndex{seed: maphash.MakeSeed()}}
+	var n int32
 	for _, b := range bases {
-		k := b.Key()
-		if _, dup := f.byKey[k]; dup {
+		if f.nbits < 0 {
+			f.nbits, f.stride = b.Len(), len(b.Bytes())
+		} else if b.Len() != f.nbits {
+			panic(fmt.Sprintf("gd: frozen basis of %d bits among %d-bit bases", b.Len(), f.nbits))
+		}
+		h := f.index.hash(b.Bytes())
+		if _, dup := f.index.find(h, b.Bytes(), f.arena, f.stride); dup {
 			continue
 		}
-		f.byKey[k] = uint32(len(f.bases))
-		f.bases = append(f.bases, b.Clone())
+		f.arena = append(f.arena, b.Bytes()...)
+		f.index.insert(h, n)
+		n++
+	}
+	f.views = make([]bitvec.Vector, n)
+	for i := range f.views {
+		off := i * f.stride
+		f.views[i].View(f.arena[off:off+f.stride:off+f.stride], f.nbits)
 	}
 	return f
 }
 
 // Len returns the number of frozen entries.
-func (f *Frozen) Len() int { return len(f.bases) }
+func (f *Frozen) Len() int { return len(f.views) }
 
-// Basis returns the basis for a frozen identifier.
-func (f *Frozen) Basis(id uint32) *bitvec.Vector { return f.bases[id] }
-
-type dictEntry struct {
-	key   string
-	basis *bitvec.Vector
-	id    uint32
-}
+// Basis returns the basis for a frozen identifier. The vector is
+// shared by every user of f and must not be modified.
+func (f *Frozen) Basis(id uint32) *bitvec.Vector { return &f.views[id] }
 
 // NewDictionary creates a dictionary with 2^idBits identifier slots.
 // Memory is proportional to the entries actually inserted, not to the
 // slot count: a decoder can be handed an attacker-chosen idBits (and,
 // in the sharded container, hundreds of dictionaries), so the 2^24
-// worst case must not be preallocated. Identifiers are still handed
-// out in increasing order (reusing Removed ids first, LIFO), exactly
-// as the previous eager free-list did.
+// worst case must not be preallocated. Identifiers are handed out in
+// increasing order, reusing Removed ids first (LIFO), then recycling
+// the least recently used one.
 func NewDictionary(idBits int) *Dictionary {
 	if idBits < 1 || idBits > 24 {
 		panic(fmt.Sprintf("gd: idBits %d out of range [1,24]", idBits))
@@ -87,8 +127,10 @@ func NewDictionary(idBits int) *Dictionary {
 	return &Dictionary{
 		idBits:   idBits,
 		capacity: 1 << uint(idBits),
-		byKey:    make(map[string]*list.Element),
-		order:    list.New(),
+		nbits:    -1,
+		head:     slotNone,
+		tail:     slotNone,
+		index:    basisIndex{seed: maphash.MakeSeed()},
 	}
 }
 
@@ -106,25 +148,25 @@ func NewDictionaryFrozen(idBits int, frozen *Frozen) *Dictionary {
 		}
 		d.frozen = frozen
 		d.base = uint32(frozen.Len())
-		d.next = d.base
+		d.nbits, d.stride = frozen.nbits, frozen.stride
+		// One hash per lookup serves both indexes.
+		d.index.seed = frozen.index.seed
 	}
 	return d
 }
 
 // Reset drops every dynamic mapping while keeping the frozen prefix
-// and all allocated storage (map buckets, id table, key scratch), so a
-// pooled encoder can re-serve a new stream without allocating.
+// and all allocated storage (arena, links, index table), so a pooled
+// encoder can re-serve a new stream without allocating.
 //
 //zipline:noalloc
 func (d *Dictionary) Reset() {
-	clear(d.byKey)
-	for i := range d.byID {
-		d.byID[i] = nil
-	}
-	d.byID = d.byID[:0]
-	d.order.Init()
+	d.index.reset()
+	d.arena = d.arena[:0]
+	d.links = d.links[:0]
+	d.head, d.tail = slotNone, slotNone
+	d.live = 0
 	d.freed = d.freed[:0]
-	d.next = d.base
 }
 
 // IDBits returns the identifier width in bits.
@@ -136,18 +178,8 @@ func (d *Dictionary) FrozenLen() int { return int(d.base) }
 // Capacity returns the number of identifier slots, 2^IDBits.
 func (d *Dictionary) Capacity() int { return d.capacity }
 
-// Len returns the number of bases currently mapped.
-func (d *Dictionary) Len() int { return d.order.Len() }
-
-// fillKeyBuf assembles the basis's map key (the same bytes as
-// bitvec's Key: a 2-byte length prefix plus the backing store) in the
-// dictionary's scratch buffer. Indexing the map with string(d.keyBuf)
-// directly lets the compiler skip the string allocation, keeping the
-// hot hit path allocation-free.
-func (d *Dictionary) fillKeyBuf(basis *bitvec.Vector) {
-	d.keyBuf = append(d.keyBuf[:0], byte(basis.Len()>>8), byte(basis.Len()))
-	d.keyBuf = append(d.keyBuf, basis.Bytes()...)
-}
+// Len returns the number of dynamic bases currently mapped.
+func (d *Dictionary) Len() int { return d.live }
 
 // Lookup returns the identifier for a basis if present, refreshing
 // its recency (a data-plane hit resets the TNA idle timer). Frozen
@@ -156,108 +188,281 @@ func (d *Dictionary) fillKeyBuf(basis *bitvec.Vector) {
 //
 //zipline:noalloc
 func (d *Dictionary) Lookup(basis *bitvec.Vector) (uint32, bool) {
-	d.fillKeyBuf(basis)
+	if basis.Len() != d.nbits {
+		return 0, false
+	}
+	b := basis.Bytes()
+	h := d.index.hash(b)
 	if d.frozen != nil {
-		if id, ok := d.frozen.byKey[string(d.keyBuf)]; ok {
-			return id, true
+		if id, ok := d.frozen.index.find(h, b, d.frozen.arena, d.stride); ok {
+			return uint32(id), true
 		}
 	}
-	el, ok := d.byKey[string(d.keyBuf)]
+	s, ok := d.index.find(h, b, d.arena, d.stride)
 	if !ok {
 		return 0, false
 	}
-	d.order.MoveToFront(el)
-	return el.Value.(*dictEntry).id, true
+	d.touch(s)
+	return d.base + uint32(s), true
 }
 
 // LookupID returns the basis for an identifier if one is mapped. It
 // does not refresh recency: decoders follow the encoder's mapping
-// rather than maintaining their own.
+// rather than maintaining their own. The vector aliases the
+// dictionary's storage: it must not be modified, and it reads the new
+// basis once the identifier is recycled.
 func (d *Dictionary) LookupID(id uint32) (*bitvec.Vector, bool) {
 	if id < d.base {
-		return d.frozen.bases[id], true
+		return d.frozen.Basis(id), true
 	}
-	if id >= uint32(len(d.byID)) || d.byID[id] == nil {
+	s, ok := d.slot(id)
+	if !ok {
 		return nil, false
 	}
-	return d.byID[id].Value.(*dictEntry).basis, true
+	return d.view(s), true
 }
 
 // LookupIDTouch is LookupID plus the recency refresh of a Lookup hit,
-// in one table access and without rebuilding the basis key — the
-// decoder's replay of an encoder hit, the dominant operation on the
-// decode hot path.
+// in one table access and without hashing the basis — the decoder's
+// replay of an encoder hit, the dominant operation on the decode hot
+// path.
 //
 //zipline:noalloc
 func (d *Dictionary) LookupIDTouch(id uint32) (*bitvec.Vector, bool) {
 	if id < d.base {
 		// Mirrors the encoder: frozen hits carry no recency.
-		return d.frozen.bases[id], true
+		return d.frozen.Basis(id), true
 	}
-	if id >= uint32(len(d.byID)) || d.byID[id] == nil {
+	s, ok := d.slot(id)
+	if !ok {
 		return nil, false
 	}
-	el := d.byID[id]
-	d.order.MoveToFront(el)
-	return el.Value.(*dictEntry).basis, true
+	d.touch(s)
+	return d.view(s), true
 }
 
 // Insert maps a new basis, allocating the least recently used
 // identifier. It returns the assigned id and, when an existing
-// mapping had to be recycled, the evicted basis. Inserting a basis
-// that is already present just refreshes it.
+// mapping had to be recycled, the evicted basis; that vector is
+// dictionary scratch, valid until the next Insert. Inserting a basis
+// that is already present just refreshes it. The basis is copied.
 func (d *Dictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitvec.Vector) {
-	d.fillKeyBuf(basis)
+	if d.nbits < 0 {
+		d.nbits, d.stride = basis.Len(), len(basis.Bytes())
+	} else if basis.Len() != d.nbits {
+		panic(fmt.Sprintf("gd: %d-bit basis inserted into a dictionary of %d-bit bases", basis.Len(), d.nbits))
+	}
+	b := basis.Bytes()
+	h := d.index.hash(b)
 	if d.frozen != nil {
 		// A frozen basis is already permanently mapped.
-		if fid, ok := d.frozen.byKey[string(d.keyBuf)]; ok {
-			return fid, nil
+		if fid, ok := d.frozen.index.find(h, b, d.frozen.arena, d.stride); ok {
+			return uint32(fid), nil
 		}
 	}
-	if el, ok := d.byKey[string(d.keyBuf)]; ok {
-		d.order.MoveToFront(el)
-		return el.Value.(*dictEntry).id, nil
+	if s, ok := d.index.find(h, b, d.arena, d.stride); ok {
+		d.touch(s)
+		return d.base + uint32(s), nil
 	}
-	key := string(d.keyBuf)
+	var s int32
 	switch {
 	case len(d.freed) > 0:
-		id = d.freed[len(d.freed)-1]
+		s = int32(d.freed[len(d.freed)-1] - d.base)
 		d.freed = d.freed[:len(d.freed)-1]
-	case d.next < uint32(d.capacity):
-		id = d.next
-		d.next++
+		copy(d.arena[int(s)*d.stride:], b)
+	case len(d.links) < d.capacity-int(d.base):
+		s = int32(len(d.links))
+		d.arena = append(d.arena, b...)
+		d.links = append(d.links, lruLink{})
 	default:
 		// Recycle the least recently used mapping (paper §5: "an LRU
 		// policy is applied to evict and recycle an identifier").
-		back := d.order.Back()
-		ent := back.Value.(*dictEntry)
-		id = ent.id
-		evicted = ent.basis
-		delete(d.byKey, ent.key)
-		d.byID[id] = nil
-		d.order.Remove(back)
+		s = d.tail
+		old := d.arena[int(s)*d.stride : int(s+1)*d.stride]
+		d.evicted.Reset(d.nbits)
+		copy(d.evicted.Bytes(), old)
+		evicted = &d.evicted
+		d.index.remove(d.index.hash(old), s)
+		d.unlink(s)
+		d.live--
+		copy(old, b)
 	}
-	el := d.order.PushFront(&dictEntry{key: key, basis: basis.Clone(), id: id})
-	d.byKey[key] = el
-	for int(id) >= len(d.byID) {
-		d.byID = append(d.byID, nil)
-	}
-	d.byID[id] = el
-	return id, evicted
+	d.index.insert(h, s)
+	d.pushFront(s)
+	d.live++
+	return d.base + uint32(s), evicted
 }
 
 // Remove drops the mapping for a basis, returning its id to the free
-// pool. It reports whether the basis was present.
+// pool. It reports whether the basis was present; frozen bases are
+// never removed.
 func (d *Dictionary) Remove(basis *bitvec.Vector) bool {
-	d.fillKeyBuf(basis)
-	el, ok := d.byKey[string(d.keyBuf)]
+	if basis.Len() != d.nbits {
+		return false
+	}
+	b := basis.Bytes()
+	h := d.index.hash(b)
+	s, ok := d.index.find(h, b, d.arena, d.stride)
 	if !ok {
 		return false
 	}
-	ent := el.Value.(*dictEntry)
-	delete(d.byKey, ent.key)
-	d.byID[ent.id] = nil
-	d.order.Remove(el)
-	d.freed = append(d.freed, ent.id)
+	d.index.remove(h, s)
+	d.unlink(s)
+	d.links[s].prev = slotFree
+	d.live--
+	d.freed = append(d.freed, d.base+uint32(s))
 	return true
+}
+
+// slot maps a dynamic identifier to its slot if the id is mapped.
+func (d *Dictionary) slot(id uint32) (int32, bool) {
+	s := id - d.base
+	if s >= uint32(len(d.links)) || d.links[s].prev == slotFree {
+		return 0, false
+	}
+	return int32(s), true
+}
+
+// view points slot s's vector header at its arena bytes. Headers are
+// re-pointed on every call, so they follow the arena when it grows.
+func (d *Dictionary) view(s int32) *bitvec.Vector {
+	for len(d.views) <= int(s) {
+		//ziplint:allow noalloc amortised growth to the slot count; kept across Reset
+		d.views = append(d.views, bitvec.Vector{})
+	}
+	off := int(s) * d.stride
+	v := &d.views[s]
+	v.View(d.arena[off:off+d.stride:off+d.stride], d.nbits)
+	return v
+}
+
+// touch makes slot s the most recently used.
+func (d *Dictionary) touch(s int32) {
+	if d.head != s {
+		d.unlink(s)
+		d.pushFront(s)
+	}
+}
+
+func (d *Dictionary) unlink(s int32) {
+	l := d.links[s]
+	if l.prev == slotNone {
+		d.head = l.next
+	} else {
+		d.links[l.prev].next = l.next
+	}
+	if l.next == slotNone {
+		d.tail = l.prev
+	} else {
+		d.links[l.next].prev = l.prev
+	}
+}
+
+func (d *Dictionary) pushFront(s int32) {
+	d.links[s] = lruLink{prev: slotNone, next: d.head}
+	if d.head == slotNone {
+		d.tail = s
+	} else {
+		d.links[d.head].prev = s
+	}
+	d.head = s
+}
+
+// basisIndex files slot numbers under a hash of their basis bytes: an
+// open-addressing table with linear probing and backward-shift
+// deletion, so removals leave no tombstones. Each word packs the low
+// 32 bits of the hash above slot+1, and zero marks an empty word. The
+// hash only decides where a slot is filed, never which slot a basis
+// gets, so identifiers do not depend on the seed; the seed is random,
+// so a hostile stream cannot aim its bases at one probe chain.
+type basisIndex struct {
+	seed maphash.Seed
+	tab  []uint64
+	n    int
+}
+
+// minIndexSize is the table's first size; it doubles whenever it
+// would pass three quarters full.
+const minIndexSize = 16
+
+func (ix *basisIndex) hash(b []byte) uint32 { return uint32(maphash.Bytes(ix.seed, b)) }
+
+// find returns the slot filed under h whose basis, read from arena at
+// stride bytes per slot, equals b.
+func (ix *basisIndex) find(h uint32, b, arena []byte, stride int) (int32, bool) {
+	if ix.n == 0 {
+		return 0, false
+	}
+	mask := uint32(len(ix.tab) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := ix.tab[i]
+		if e == 0 {
+			return 0, false
+		}
+		if uint32(e>>32) == h {
+			s := int32(uint32(e)) - 1
+			off := int(s) * stride
+			if bytes.Equal(arena[off:off+stride], b) {
+				return s, true
+			}
+		}
+	}
+}
+
+// insert files slot s under h; the slot must not be filed already.
+func (ix *basisIndex) insert(h uint32, s int32) {
+	if 4*(ix.n+1) > 3*len(ix.tab) {
+		ix.grow()
+	}
+	ix.put(uint64(h)<<32 | uint64(s+1))
+	ix.n++
+}
+
+func (ix *basisIndex) put(e uint64) {
+	mask := uint32(len(ix.tab) - 1)
+	i := uint32(e>>32) & mask
+	for ix.tab[i] != 0 {
+		i = (i + 1) & mask
+	}
+	ix.tab[i] = e
+}
+
+func (ix *basisIndex) grow() {
+	old := ix.tab
+	ix.tab = make([]uint64, max(minIndexSize, 2*len(old)))
+	for _, e := range old {
+		if e != 0 {
+			ix.put(e)
+		}
+	}
+}
+
+// remove unfiles slot s, filed under h, shifting later members of its
+// probe run back so every lookup still finds them.
+func (ix *basisIndex) remove(h uint32, s int32) {
+	mask := uint32(len(ix.tab) - 1)
+	e := uint64(h)<<32 | uint64(s+1)
+	i := h & mask
+	for ix.tab[i] != e {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; ix.tab[j] != 0; j = (j + 1) & mask {
+		// The word at j may move back to the hole at i only if its
+		// home position is not in (i, j].
+		home := uint32(ix.tab[j]>>32) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			ix.tab[i] = ix.tab[j]
+			i = j
+		}
+	}
+	ix.tab[i] = 0
+	ix.n--
+}
+
+// reset empties the table, keeping its size.
+func (ix *basisIndex) reset() {
+	if ix.n > 0 {
+		clear(ix.tab)
+		ix.n = 0
+	}
 }

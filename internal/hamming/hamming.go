@@ -27,7 +27,7 @@ type Spec struct {
 	// value disagrees with the printed polynomial (and is not
 	// primitive, so it cannot realise a Hamming code); Param holds
 	// the value derived from the polynomial, PaperParam what the
-	// paper printed. See EXPERIMENTS.md.
+	// paper printed (pinned by TestTable1PaperParamMismatch).
 	PaperParam uint32
 	// Alternate marks the second listed polynomial for code sizes
 	// with two rows; ByM selects the non-alternate row.
@@ -209,11 +209,10 @@ func (c *Code) SyndromeVector(v *bitvec.Vector) uint32 {
 // ErrorPosition maps a syndrome to the wire position of the
 // corresponding single-bit error. It returns -1 for syndrome 0
 // (already a codeword). This is the syndrome look-up table of paper
-// Figures 1/2.
+// Figures 1/2. A syndrome wider than m bits panics (index out of
+// range); the lookup is kept that small so it inlines into the split
+// and merge kernels.
 func (c *Code) ErrorPosition(s uint32) int {
-	if int(s) >= len(c.synToPos) {
-		panic(fmt.Sprintf("hamming: syndrome %#x wider than m=%d", s, c.m))
-	}
 	return int(c.synToPos[s])
 }
 

@@ -12,7 +12,7 @@ import (
 	"zipline/internal/gd"
 )
 
-// Stream container format (see DESIGN.md):
+// Stream container format:
 //
 //	header:  "ZLGD" | version u8 | m u8 | idBits u8 | t u8
 //	blocks:  u32le byteLen | u32le bitLen | payload
@@ -181,7 +181,9 @@ func newStreamDictionary(codec *Codec, d *Dict) *gd.Dictionary {
 	return gd.NewDictionary(codec.cfg.IDBits)
 }
 
-// encodeChunk appends one chunk's record to the current block.
+// encodeChunk appends one chunk's record to the current block. The
+// record's fixed fields (tag, deviation, extra and, for a hit, the
+// identifier) go out as one packed WriteUint.
 //
 //zipline:noalloc
 func (e *blockEncoder) encodeChunk(chunk []byte) error {
@@ -189,17 +191,13 @@ func (e *blockEncoder) encodeChunk(chunk []byte) error {
 		return err
 	}
 	e.stats.Chunks++
+	fixed := uint64(e.split.Deviation)<<1 | uint64(e.split.Extra)
 	if id, ok := e.dict.Lookup(e.split.Basis); ok {
-		e.block.WriteBit(true)
-		e.block.WriteUint(uint64(e.split.Deviation), e.m)
-		e.block.WriteUint(uint64(e.split.Extra), 1)
-		e.block.WriteUint(uint64(id), e.idBits)
+		e.block.WriteUint((1<<(e.m+1)|fixed)<<e.idBits|uint64(id), e.m+2+e.idBits)
 		e.stats.Hits++
 	} else {
 		e.dict.Insert(e.split.Basis)
-		e.block.WriteBit(false)
-		e.block.WriteUint(uint64(e.split.Deviation), e.m)
-		e.block.WriteUint(uint64(e.split.Extra), 1)
+		e.block.WriteUint(fixed, e.m+2)
 		e.block.WriteVector(e.split.Basis)
 		e.stats.Misses++
 	}
@@ -214,6 +212,7 @@ type blockDecoder struct {
 	dict  *gd.Dictionary
 	stats *StreamStats
 	br    bitvec.Reader // reused per block; live only inside decodeRecords
+	miss  bitvec.Vector // a miss record's basis, copied on into the dictionary
 }
 
 func newBlockDecoder(codec *Codec, stats *StreamStats, d *Dict) *blockDecoder {
@@ -232,20 +231,13 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 	k := d.codec.BasisBits()
 	idBits := d.codec.cfg.IDBits
 	for br.Remaining() > 0 {
-		hit, err := br.ReadBit()
+		// tag | deviation | extra in one read.
+		fixed, err := br.ReadUint(m + 2)
 		if err != nil {
 			return out, fmt.Errorf("%w: truncated record", ErrCorrupt)
 		}
-		dev, err := br.ReadUint(m)
-		if err != nil {
-			return out, fmt.Errorf("%w: truncated deviation", ErrCorrupt)
-		}
-		extra, err := br.ReadUint(1)
-		if err != nil {
-			return out, fmt.Errorf("%w: truncated extra bit", ErrCorrupt)
-		}
 		var basis *bitvec.Vector
-		if hit {
+		if fixed>>(m+1) == 1 {
 			id, err := br.ReadUint(idBits)
 			if err != nil {
 				return out, fmt.Errorf("%w: truncated identifier", ErrCorrupt)
@@ -258,19 +250,18 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 			basis = b
 			d.stats.Hits++
 		} else {
-			b, err := br.ReadVector(k)
-			if err != nil {
+			if err := br.ReadVectorInto(&d.miss, k); err != nil {
 				return out, fmt.Errorf("%w: truncated basis", ErrCorrupt)
 			}
-			d.dict.Insert(b)
-			basis = b
+			d.dict.Insert(&d.miss)
+			basis = &d.miss
 			d.stats.Misses++
 		}
 		d.stats.Chunks++
 		out, err = d.codec.inner.MergeChunk(gd.Split{
 			Basis:     basis,
-			Deviation: uint32(dev),
-			Extra:     uint8(extra),
+			Deviation: uint32(fixed>>1) & (1<<m - 1),
+			Extra:     uint8(fixed & 1),
 		}, out)
 		if err != nil {
 			return out, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -1184,8 +1175,8 @@ func (zr *Reader) readBlock() error {
 		return nil
 	}
 	// Block bodies are transient — every downstream consumer copies
-	// what it keeps (parseTailBlock's slice is appended to out,
-	// ReadVector builds fresh vectors) — so one recycled scratch buffer
+	// what it keeps (parseTailBlock's slice is appended to out, a miss
+	// basis is copied into the dictionary) — so one recycled scratch buffer
 	// serves every block. Oversized lengths (only a corrupt or hostile
 	// header produces them; real groups are bounded by the segment
 	// size) use a throwaway allocation instead, so a pooled Reader
