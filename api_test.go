@@ -15,7 +15,7 @@ import (
 // TestUnifiedWriterWorkersOption: one Writer type serves both paths,
 // selected by WithWorkers; every reader configuration decodes both.
 func TestUnifiedWriterWorkersOption(t *testing.T) {
-	data := sensorLikeData(2*defaultSegmentBytes+777, 51)
+	data := sensorLikeData(2*defaultSpanBytes+777, 51)
 	for _, workers := range []int{1, 2, 5} {
 		var buf bytes.Buffer
 		zw, err := NewWriter(&buf, WithWorkers(workers), WithConfig(Config{}))
@@ -30,7 +30,7 @@ func TestUnifiedWriterWorkersOption(t *testing.T) {
 		}
 		wantVersion := byte(streamV1)
 		if workers > 1 {
-			wantVersion = streamV2
+			wantVersion = streamV4
 		}
 		if got := buf.Bytes()[4]; got != wantVersion {
 			t.Fatalf("workers=%d: container version %d, want %d", workers, got, wantVersion)
@@ -80,6 +80,9 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := NewWriter(io.Discard, WithWorkers(-1)); err == nil {
 		t.Fatal("negative workers accepted")
 	}
+	if _, err := NewWriter(io.Discard, WithIndex(-1)); err == nil {
+		t.Fatal("negative checkpoint interval accepted")
+	}
 	dict := trainTestDict(t, Config{})
 	if _, err := NewWriter(io.Discard, WithConfig(Config{M: 5}), WithDict(dict)); err == nil {
 		t.Fatal("conflicting WithConfig+WithDict accepted")
@@ -95,58 +98,6 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if zw.codec.cfg != dict.Config() {
 		t.Fatalf("writer cfg %+v != dict cfg %+v", zw.codec.cfg, dict.Config())
-	}
-}
-
-// TestDeprecatedWrappersAreTheUnifiedTypes: the pre-options
-// constructors return the same types, so pooled helpers written
-// against either keep working.
-func TestDeprecatedWrappersAreTheUnifiedTypes(t *testing.T) {
-	pw, err := NewParallelWriter(io.Discard, Config{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ *Writer = pw
-	if err := pw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	comp, err := CompressBytesParallel([]byte("wrapper"), Config{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := NewParallelReader(bytes.NewReader(comp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ *Reader = pr
-	defer pr.Close()
-	back, err := io.ReadAll(pr)
-	if err != nil || string(back) != "wrapper" {
-		t.Fatalf("wrapper round trip: %q, %v", back, err)
-	}
-}
-
-// TestNewParallelWriterKeepsEagerHeader pins the deprecated wrapper's
-// original contract: the container header is written at construction
-// and a failing destination surfaces there, not at the first Write.
-func TestNewParallelWriterKeepsEagerHeader(t *testing.T) {
-	var buf bytes.Buffer
-	pw, err := NewParallelWriter(&buf, Config{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 12 || buf.Bytes()[4] != streamV2 || buf.Bytes()[8] != 3 {
-		t.Fatalf("header not written eagerly: %d bytes %x", buf.Len(), buf.Bytes())
-	}
-	if err := pw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecompressBytes(buf.Bytes()); err != nil {
-		t.Fatalf("empty eager-header stream: %v", err)
-	}
-	wantErr := errors.New("disk full")
-	if _, err := NewParallelWriter(&failAfterWriter{n: 0, err: wantErr}, Config{}, 2); !errors.Is(err, wantErr) {
-		t.Fatalf("constructor error = %v, want %v", err, wantErr)
 	}
 }
 
@@ -176,10 +127,10 @@ func TestSerialWriterDoubleCloseReturnsFirstError(t *testing.T) {
 }
 
 // TestParallelWriterDoubleCloseReturnsFirstError: same contract on
-// the sharded path, where the error is recorded by the collector.
+// the span-parallel path, where the error is latched by the engine.
 func TestParallelWriterDoubleCloseReturnsFirstError(t *testing.T) {
 	wantErr := errors.New("disk full")
-	// The 12-byte v2 header fits; the first group write fails.
+	// The 12-byte v4 header fits; the first group write fails.
 	zw, err := NewWriter(&failAfterWriter{n: 12, err: wantErr}, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +180,7 @@ func TestWriterResetServesNewStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 3; round++ {
-			data := sensorLikeData(defaultSegmentBytes+round*1000+13, int64(round+70))
+			data := sensorLikeData(defaultSpanBytes+round*1000+13, int64(round+70))
 			var buf bytes.Buffer
 			zw.Reset(&buf)
 			if _, err := zw.Write(data); err != nil {
@@ -473,11 +424,8 @@ func TestEncodeAllOnParallelWriterStaysSerial(t *testing.T) {
 }
 
 func TestDecodeAllReadsShardedStreams(t *testing.T) {
-	data := sensorLikeData(3*defaultSegmentBytes+17, 121)
-	comp, err := CompressBytesParallel(data, Config{}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := legacyFixtures[0].data()
+	comp := readFixture(t, legacyFixtures[0].file)
 	zr, err := NewReader(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -546,7 +494,7 @@ func TestDictTrainSerializeLoad(t *testing.T) {
 // dict.
 func TestDictStreamRoundTripAndRejection(t *testing.T) {
 	dict := trainTestDict(t, Config{})
-	data := sensorLikeData(2*defaultSegmentBytes+333, 82)
+	data := sensorLikeData(2*(128<<10)+333, 82)
 	for _, workers := range []int{1, 4} {
 		var buf bytes.Buffer
 		zw, err := NewWriter(&buf, WithDict(dict), WithWorkers(workers))
@@ -560,8 +508,12 @@ func TestDictStreamRoundTripAndRejection(t *testing.T) {
 			t.Fatal(err)
 		}
 		comp := buf.Bytes()
-		if comp[4] != streamV3 {
-			t.Fatalf("workers=%d: version %d, want %d", workers, comp[4], streamV3)
+		wantVersion := byte(streamV3)
+		if workers > 1 {
+			wantVersion = streamV4 // the parallel writer always indexes
+		}
+		if comp[4] != wantVersion {
+			t.Fatalf("workers=%d: version %d, want %d", workers, comp[4], wantVersion)
 		}
 		// With the dict: serial and parallel readers, plus DecodeAll.
 		for _, readWorkers := range []int{1, 3} {

@@ -294,10 +294,10 @@ func BenchmarkSerialWriter(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelWriter measures the sharded engine at several
-// worker counts on the same trace as BenchmarkSerialWriter.
-// Throughput scales with available cores (the ≥4× target at 8 workers
-// needs ≥8 free cores).
+// BenchmarkParallelWriter measures the span-parallel engine at several
+// worker counts on the same trace as BenchmarkSerialWriter: eight
+// 1 MiB checkpoint spans, the same container for every worker count
+// above one. Throughput scales with available cores.
 func BenchmarkParallelWriter(b *testing.B) {
 	data := benchStreamData(8 << 20)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -320,7 +320,8 @@ func BenchmarkParallelWriter(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelReader measures sharded decode throughput.
+// BenchmarkParallelReader measures the checkpoint fan-out decode of the
+// span writer's output.
 func BenchmarkParallelReader(b *testing.B) {
 	data := benchStreamData(8 << 20)
 	var buf bytes.Buffer

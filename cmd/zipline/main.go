@@ -2,7 +2,7 @@
 // deduplication.
 //
 //	zipline -c [-m 8] [-idbits 15] < input > output.zl
-//	zipline -c -p 8 < input > output.zl          # parallel (v2 container)
+//	zipline -c -p 8 < input > output.zl          # parallel (v4 container, 1 MiB spans)
 //	zipline -c -index < input > output.zl        # seekable (v4 container)
 //	zipline -d < output.zl > input
 //	zipline -d -seek 4096:1024 < output.zl       # random access via the index
@@ -44,7 +44,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	train := fs.Bool("train", false, "train a shared dictionary from stdin and write it to the -dict path")
 	m := fs.Int("m", 8, "Hamming parameter (3..15): chunks are 2^m bits")
 	idBits := fs.Int("idbits", 15, "dictionary identifier width in bits (1..24)")
-	workers := fs.Int("p", 1, "parallel workers for -c: >1 compresses with the sharded container, 0 = all CPUs (decompression always follows the stream's shard count)")
+	workers := fs.Int("p", 1, "parallel workers for -c: >1 encodes checkpoint spans concurrently into the seekable v4 container (1 MiB spans, or the -index interval), byte-identical for every worker count; 0 = all CPUs")
 	dictPath := fs.String("dict", "", "shared dictionary file: output of -train, input of -c/-d (its training configuration overrides -m/-idbits)")
 	index := fs.Bool("index", false, "with -c: write the seekable v4 container (block index + dictionary checkpoints in a trailing footer)")
 	seekSpec := fs.String("seek", "", "with -d: decompress only OFF:LEN — seek to uncompressed offset OFF and emit LEN bytes (needs a seekable input; fastest on -index streams)")
@@ -69,12 +69,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if *index && !*compress {
 		fmt.Fprintln(stderr, "zipline: -index only applies to -c")
-		return 2
-	}
-	if *index && *workers != 1 {
-		// The index records one dictionary timeline, which the sharded
-		// v2 container does not have.
-		fmt.Fprintln(stderr, "zipline: -index requires the serial writer (-p 1)")
 		return 2
 	}
 	if *seekSpec != "" && !*decompress {
@@ -158,7 +152,7 @@ func pipe(stdin io.Reader, stdout, stderr io.Writer, compress bool, cfg zipline.
 		}
 		stats = &zw.Stats
 		if n, err = io.Copy(zw, in); err != nil {
-			// Close releases the parallel workers; the copy error
+			// Close releases the encode workers; the copy error
 			// explains the failure, so the close error is reported as
 			// secondary noise rather than replacing it.
 			if cerr := zw.Close(); cerr != nil {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"zipline"
 )
 
 func TestRoundTripSerial(t *testing.T) {
@@ -47,6 +49,64 @@ func TestRoundTripParallel(t *testing.T) {
 	}
 	if !bytes.Equal(back.Bytes(), data) {
 		t.Fatal("parallel round trip failed")
+	}
+}
+
+// TestParallelOutputIndependentOfWorkers: -p N writes the indexed
+// container with the same bytes for every N, and with -index the same
+// bytes as the serial indexed writer.
+func TestParallelOutputIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bases := make([][]byte, 64)
+	for i := range bases {
+		bases[i] = make([]byte, 32)
+		rng.Read(bases[i])
+	}
+	var data []byte
+	for len(data) < 5<<19 { // 2.5 MiB: three 1 MiB spans
+		data = append(data, bases[rng.Intn(len(bases))]...)
+	}
+	data = append(data, "tail"...)
+	compress := func(args ...string) []byte {
+		var comp, errw bytes.Buffer
+		if code := run(append([]string{"-c"}, args...), bytes.NewReader(data), &comp, &errw); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errw.String())
+		}
+		return comp.Bytes()
+	}
+	p2 := compress("-p", "2")
+	if p4 := compress("-p", "4"); !bytes.Equal(p2, p4) {
+		t.Fatal("-p 2 and -p 4 wrote different containers")
+	}
+	if serial, par := compress("-index"), compress("-index", "-p", "3"); !bytes.Equal(serial, par) {
+		t.Fatal("-index -p 3 differs from -index")
+	}
+	var back, errw bytes.Buffer
+	if code := run([]string{"-d"}, bytes.NewReader(p2), &back, &errw); code != 0 {
+		t.Fatalf("decompress exit %d: %s", code, errw.String())
+	}
+	if !bytes.Equal(back.Bytes(), data) {
+		t.Fatal("parallel round trip failed")
+	}
+}
+
+// TestDecompressLegacySharded: files written by the retired sharded
+// writer (the version-2 container of earlier -p N runs) still decode.
+func TestDecompressLegacySharded(t *testing.T) {
+	comp, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy-v2-3shard.zl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := zipline.DecompressBytes(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back, errw bytes.Buffer
+	if code := run([]string{"-d"}, bytes.NewReader(comp), &back, &errw); code != 0 {
+		t.Fatalf("decompress exit %d: %s", code, errw.String())
+	}
+	if !bytes.Equal(back.Bytes(), want) || len(want) != 2*(128<<10)+1005 {
+		t.Fatalf("legacy decode: %d bytes, want %d", back.Len(), 2*(128<<10)+1005)
 	}
 }
 
@@ -189,12 +249,11 @@ func TestSeekOnLegacyStream(t *testing.T) {
 
 func TestIndexAndSeekFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-d", "-index"},            // -index is a writer option
-		{"-c", "-index", "-p", "4"}, // index needs the serial writer
-		{"-c", "-seek", "0:10"},     // -seek is a reader option
-		{"-d", "-seek", "banana"},   // malformed spec
-		{"-d", "-seek", "10"},       // missing :LEN
-		{"-d", "-seek", "-5:10"},    // negative offset
+		{"-d", "-index"},          // -index is a writer option
+		{"-c", "-seek", "0:10"},   // -seek is a reader option
+		{"-d", "-seek", "banana"}, // malformed spec
+		{"-d", "-seek", "10"},     // missing :LEN
+		{"-d", "-seek", "-5:10"},  // negative offset
 	} {
 		var out, errw bytes.Buffer
 		if code := run(args, strings.NewReader(""), &out, &errw); code == 0 {

@@ -7,17 +7,18 @@ import (
 	"testing"
 )
 
-// Differential coverage of the four writer×reader pairings. The
-// serial Writer→Reader path is the reference; every other
-// combination — serial Writer→ParallelReader, ParallelWriter→serial
-// Reader, ParallelWriter→ParallelReader — must reproduce the input
-// byte for byte across shard counts 1–8 and input shapes from empty
-// through multi-segment with a sub-chunk tail.
+// Differential coverage of the writer×reader pairings. The serial
+// Writer→Reader path is the reference; every other combination —
+// serial Writer→workers Reader, parallel Writer→serial Reader,
+// parallel Writer→workers Reader and DecodeAll — must reproduce the
+// input byte for byte across worker counts 1–8 and input shapes from
+// empty through multi-span with a sub-chunk tail. The parallel Writer
+// is further pinned byte-identical to the serial indexed writer.
 
 // decodeSerial drains a stream through the serial Reader.
-func decodeSerial(t *testing.T, comp []byte) []byte {
+func decodeSerial(t *testing.T, comp []byte, opts ...Option) []byte {
 	t.Helper()
-	zr, err := NewReader(bytes.NewReader(comp))
+	zr, err := NewReader(bytes.NewReader(comp), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +29,30 @@ func decodeSerial(t *testing.T, comp []byte) []byte {
 	return out
 }
 
-// decodeParallel drains a stream through the ParallelReader.
-func decodeParallel(t *testing.T, comp []byte) []byte {
+// decodeParallel drains a stream through a 4-worker Reader over a
+// seekable source, so indexed streams take the checkpoint fan-out.
+func decodeParallel(t *testing.T, comp []byte, opts ...Option) []byte {
 	t.Helper()
-	pr, err := NewParallelReader(bytes.NewReader(comp))
+	zr, err := NewReader(bytes.NewReader(comp), append(opts, WithWorkers(4))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pr.Close()
-	out, err := io.ReadAll(pr)
+	defer zr.Close()
+	out, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// decodeAllParallel decodes a stream with a 4-worker DecodeAll.
+func decodeAllParallel(t *testing.T, comp []byte, opts ...Option) []byte {
+	t.Helper()
+	zr, err := NewReader(nil, append(opts, WithWorkers(4))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := zr.DecodeAll(comp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +61,7 @@ func decodeParallel(t *testing.T, comp []byte) []byte {
 
 func TestDifferentialWriterReaderPairings(t *testing.T) {
 	cfgs := []Config{{}, {M: 5, IDBits: 9}}
-	sizes := []int{0, 1, 31, 32, 33, 1000, 4096, defaultSegmentBytes, defaultSegmentBytes + 17, 2*defaultSegmentBytes + 5}
+	sizes := []int{0, 1, 31, 32, 33, 1000, 4096, 128 << 10, 128<<10 + 17, 2*(128<<10) + 5}
 	for ci, cfg := range cfgs {
 		for _, size := range sizes {
 			data := sensorLikeData(size, int64(1000+size+ci))
@@ -60,23 +76,21 @@ func TestDifferentialWriterReaderPairings(t *testing.T) {
 					t.Fatal("serial reference path corrupted the input")
 				}
 
-				// Serial writer → ParallelReader.
+				// Serial writer → workers Reader.
 				if got := decodeParallel(t, serialComp); !bytes.Equal(got, ref) {
-					t.Fatalf("serial→ParallelReader differs from serial path (%d vs %d bytes)", len(got), len(ref))
+					t.Fatalf("serial→workers Reader differs from serial path (%d vs %d bytes)", len(got), len(ref))
 				}
 
 				for workers := 1; workers <= 8; workers++ {
-					parComp, err := CompressBytesParallel(data, cfg, workers)
-					if err != nil {
-						t.Fatalf("workers %d: %v", workers, err)
-					}
-					// ParallelWriter → serial Reader.
+					parComp := compressSpans(t, data, workers, testSpan, cfg)
 					if got := decodeSerial(t, parComp); !bytes.Equal(got, ref) {
-						t.Fatalf("Parallel(%d)→Reader differs from serial path", workers)
+						t.Fatalf("spans(%d)→Reader differs from serial path", workers)
 					}
-					// ParallelWriter → ParallelReader.
 					if got := decodeParallel(t, parComp); !bytes.Equal(got, ref) {
-						t.Fatalf("Parallel(%d)→ParallelReader differs from serial path", workers)
+						t.Fatalf("spans(%d)→workers Reader differs from serial path", workers)
+					}
+					if got := decodeAllParallel(t, parComp); !bytes.Equal(got, ref) {
+						t.Fatalf("spans(%d)→DecodeAll differs from serial path", workers)
 					}
 				}
 			})
@@ -90,7 +104,7 @@ func TestDifferentialWriterReaderPairings(t *testing.T) {
 func TestDifferentialRandomInputs(t *testing.T) {
 	rng := newTestRand(4242)
 	for trial := 0; trial < 20; trial++ {
-		size := rng.Intn(3 * defaultSegmentBytes)
+		size := rng.Intn(12 * testSpan)
 		data := make([]byte, size)
 		rng.Read(data)
 		workers := 1 + rng.Intn(8)
@@ -99,10 +113,7 @@ func TestDifferentialRandomInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parComp, err := CompressBytesParallel(data, Config{}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		parComp := compressSpans(t, data, workers, testSpan)
 		ref := decodeSerial(t, serialComp)
 		if !bytes.Equal(ref, data) {
 			t.Fatalf("trial %d: serial path corrupted input", trial)
@@ -115,6 +126,71 @@ func TestDifferentialRandomInputs(t *testing.T) {
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("trial %d (%d bytes, %d workers): %s differs from serial path",
 					trial, size, workers, name)
+			}
+		}
+	}
+}
+
+// TestDifferentialSpanWriterByteIdentical pins the parallel Writer's
+// defining property: WithWorkers(n)+WithIndex(x) writes exactly the
+// bytes of a serial WithIndex(x) writer, and WithWorkers(n) alone
+// exactly those of a serial WithIndex(1 MiB) writer — for every n,
+// configuration, dictionary and input shape around span boundaries.
+// Every Reader configuration then decodes the common stream.
+func TestDifferentialSpanWriterByteIdentical(t *testing.T) {
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{}},
+		{"m5id9", Config{M: 5, IDBits: 9}},
+		{"m8id4", Config{M: 8, IDBits: 4}},
+	}
+	for _, c := range cfgs {
+		codec, err := NewCodec(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := codec.ChunkSize()
+		dict, err := TrainDict(sensorLikeData(1<<14, 61), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, withDict := range []bool{false, true} {
+			opts := []Option{WithConfig(c.cfg)}
+			if withDict {
+				opts = append(opts, WithDict(dict))
+			}
+			for _, span := range []int{16 << 10, 1 << 20} {
+				for _, size := range []int{0, 31, span - cs, span, span + 17, 3*span + 5} {
+					name := fmt.Sprintf("%s/dict=%v/span%d/size%d", c.name, withDict, span, size)
+					data := sensorLikeData(size, int64(size+span))
+					want := goldenStream(t, data, append(opts, WithIndex(span))...)
+					for _, n := range []int{2, 3, 8} {
+						if got := compressSpans(t, data, n, span, opts...); !bytes.Equal(got, want) {
+							t.Fatalf("%s: WithWorkers(%d) differs from the serial indexed writer (%d vs %d bytes)",
+								name, n, len(got), len(want))
+						}
+						if span == defaultSpanBytes {
+							if got := compressSpans(t, data, n, 0, opts...); !bytes.Equal(got, want) {
+								t.Fatalf("%s: WithWorkers(%d) alone differs from serial WithIndex(1 MiB)", name, n)
+							}
+						}
+					}
+					var ropts []Option
+					if withDict {
+						ropts = append(ropts, WithDict(dict))
+					}
+					for reader, got := range map[string][]byte{
+						"serial":     decodeSerial(t, want, ropts...),
+						"workers":    decodeParallel(t, want, ropts...),
+						"decodeall4": decodeAllParallel(t, want, ropts...),
+					} {
+						if !bytes.Equal(got, data) {
+							t.Fatalf("%s: %s Reader did not restore the input", name, reader)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -13,11 +13,14 @@
 //     streams with an LRU basis dictionary, the file/IoT-gateway use
 //     case of the GD literature the paper builds on. One reusable
 //     pair serves every mode, selected by functional options:
-//     WithWorkers picks serial or sharded-parallel engines, WithDict
-//     shares a pre-trained basis dictionary (TrainDict) across any
-//     number of encoders, Reset re-serves a pooled instance with zero
-//     steady-state allocations, and EncodeAll/DecodeAll are the
-//     concurrency-safe one-shot paths for short streams.
+//     WithIndex makes the container seekable at dictionary
+//     checkpoints, WithWorkers encodes and decodes whole checkpoint
+//     spans in parallel (byte-identical to the serial indexed
+//     writer), WithDict shares a pre-trained basis dictionary
+//     (TrainDict) across any number of encoders, Reset re-serves a
+//     pooled instance with zero steady-state allocations, and
+//     EncodeAll/DecodeAll are the concurrency-safe one-shot paths for
+//     short streams.
 //   - SimulateLink: the full in-network system — two switch
 //     pipelines, digests, a control plane with realistic learning
 //     latency — on a deterministic discrete-event testbed.
@@ -34,7 +37,9 @@
 // config, for any worker count); and zero steady-state allocations on
 // the pooled Reset hot path and the serial Reader (alloc-pinning
 // tests plus the ziplint static checker). The container format is
-// versioned (v1–v4) and every released version stays readable.
+// versioned (v1–v4) and every released version stays readable; the
+// sharded v2/v3 containers of the retired parallel writer are pinned
+// by fixtures in testdata/.
 //
 // The implementation details live in internal/ packages (bit-level
 // CRC engine, Hamming codes, the Tofino pipeline model, the network

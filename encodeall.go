@@ -32,7 +32,7 @@ func (zw *Writer) EncodeAll(src, dst []byte) []byte {
 		set := zw.set
 		set.workers = 1
 		st = &encState{}
-		st.w = newSerialWriter(nil, set, zw.codec)
+		st.w = newWriter(nil, set, zw.codec)
 	}
 	st.buf.b = dst
 	st.w.Reset(&st.buf)

@@ -24,17 +24,14 @@ func FuzzDecompressBytes(f *testing.F) {
 	if comp, err := CompressBytes([]byte("tail-only"), Config{M: 5}); err == nil {
 		f.Add(comp)
 	}
-	// Sharded v2 containers: several shard counts, a multi-segment
-	// stream (groups on more than one shard) and a tail-bearing one.
-	if comp, err := CompressBytesParallel(bytes.Repeat([]byte{9, 8, 7, 6}, 100), Config{}, 3); err == nil {
-		f.Add(comp)
-	}
-	if comp, err := CompressBytesParallel(bytes.Repeat([]byte{0xAB}, 2*defaultSegmentBytes+5), Config{}, 2); err == nil {
-		f.Add(comp)
-	}
-	if comp, err := CompressBytesParallel([]byte("v2 tail-only"), Config{M: 5}, 4); err == nil {
-		f.Add(comp)
-	}
+	// Legacy sharded containers (legacy_test.go): three shards holding
+	// a single group plus a tail, and a dictionary-framed two-shard
+	// stream the dictless decoder must reject. Then the span writer's
+	// indexed container with several checkpoint segments. Seeds stay
+	// small so the fuzz engine's minimization converges quickly.
+	f.Add(readFixture(f, "legacy-v2-small.zl"))
+	f.Add(readFixture(f, "legacy-v3-dict-2shard.zl"))
+	f.Add(compressSpans(f, sensorLikeData(16<<10+5, 9), 4, 4<<10))
 	// Dictionary-framed v3 containers: the dictless decoder must
 	// reject them cleanly (ErrDictRequired), and mutated dict frames —
 	// truncated header, flipped dict-ID — must never panic it.
@@ -144,7 +141,8 @@ func FuzzEncodeAllDecodeAll(f *testing.F) {
 
 // FuzzStreamRoundTrip: every input must compress and decompress back
 // to itself under several configurations, through both the serial
-// (v1) and sharded parallel (v2) containers.
+// (v1) container and the span-parallel writer, whose output must match
+// the serial indexed writer byte for byte.
 func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add([]byte(nil), uint8(8), uint8(1), uint8(1))
 	f.Add([]byte("hello zipline"), uint8(3), uint8(1), uint8(2))
@@ -163,89 +161,97 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		if !bytes.Equal(back, data) {
 			t.Fatalf("round trip failed for cfg %+v", cfg)
 		}
-		pcomp, err := CompressBytesParallel(data, cfg, int(workers%8)+1)
-		if err != nil {
-			t.Fatalf("parallel compress: %v", err)
+		// 256-byte spans (rounded up to a chunk) so short inputs still
+		// cross several.
+		pcomp := compressSpans(t, data, int(workers%8)+1, 256, cfg)
+		if want := goldenStream(t, data, cfg, WithIndex(256)); !bytes.Equal(pcomp, want) {
+			t.Fatalf("span writer differs from the serial indexed writer for cfg %+v", cfg)
 		}
-		back, err = DecompressBytes(pcomp)
+		zr, err := NewReader(nil, WithWorkers(4))
 		if err != nil {
-			t.Fatalf("serial decode of v2: %v", err)
+			t.Fatal(err)
+		}
+		back, err = zr.DecodeAll(pcomp, nil)
+		if err != nil {
+			t.Fatalf("decode of the span writer: %v", err)
 		}
 		if !bytes.Equal(back, data) {
-			t.Fatalf("v2 round trip failed for cfg %+v", cfg)
+			t.Fatalf("span writer round trip failed for cfg %+v", cfg)
 		}
 	})
 }
 
-// decompressParallel drains data through a ParallelReader, always
-// releasing its goroutines.
-func decompressParallel(data []byte) ([]byte, error) {
-	pr, err := NewParallelReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	defer pr.Close()
-	return io.ReadAll(pr)
-}
-
-// FuzzParallelReader: arbitrary input through the sharded decoder
-// must never panic, deadlock or leak its workers — and whenever both
-// the serial and the parallel decoder accept an input, they must
-// produce identical bytes (the decoders share one format authority;
-// this keeps them honest). The corpus seeds the interesting failure
-// classes: truncation at every framing boundary and shard numbers
-// that exceed the header's count.
+// FuzzParallelReader: arbitrary input through the checkpoint fan-out
+// — a 4-worker Reader over a seekable source and a 4-worker DecodeAll
+// — must never panic, deadlock or leak its workers, and whenever the
+// fan-out returns without error its bytes must equal the serial
+// Reader's (the fan-out may reject a stream with a corrupt index that
+// serial decoding never reads, never the reverse). The corpus seeds
+// the span writer's output, truncations across its framing, and the
+// small legacy sharded containers, which the workers Reader decodes
+// serially.
 func FuzzParallelReader(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("not a stream"))
 	if comp, err := CompressBytes(bytes.Repeat([]byte("serial v1 stream!"), 50), Config{}); err == nil {
 		f.Add(comp)
 	}
-	if comp, err := CompressBytesParallel(bytes.Repeat([]byte{1, 2, 3, 4}, 100), Config{}, 3); err == nil {
-		f.Add(comp)
-		// Truncations: inside the stream header, the v2 extension, the
-		// first group header, a group body, and just short of the
-		// trailer.
-		for _, cut := range []int{3, 9, 20, len(comp) / 2, len(comp) - 1} {
-			if cut >= 0 && cut < len(comp) {
-				f.Add(append([]byte(nil), comp[:cut]...))
-			}
-		}
-		// Shard mismatch: the first group's shard byte (stream header
-		// 12 B + group header offset 12) bumped past the declared
-		// shard count.
-		if len(comp) > 25 {
-			mut := append([]byte(nil), comp...)
-			mut[24] = 0xFF
-			f.Add(mut)
-		}
-		// Declared shard count zeroed and inflated.
-		for _, shards := range []byte{0, 255} {
-			mut := append([]byte(nil), comp...)
-			mut[8] = shards
-			f.Add(mut)
-		}
+	// Span-writer output: 4 KiB spans give four checkpoint segments and
+	// a tail group.
+	spans := compressSpans(f, sensorLikeData(16<<10+5, 9), 4, 4<<10)
+	f.Add(spans)
+	// Truncations: inside the stream header, the extension, the first
+	// group header, a group body, and the index footer.
+	for _, cut := range []int{3, 9, 20, len(spans) / 2, len(spans) - 1} {
+		f.Add(append([]byte(nil), spans[:cut]...))
 	}
-	// A multi-segment stream (several groups per shard) and a
-	// tail-bearing one.
-	if comp, err := CompressBytesParallel(sensorLikeData(2*defaultSegmentBytes+5, 9), Config{}, 4); err == nil {
-		f.Add(comp)
-		f.Add(append([]byte(nil), comp[:len(comp)-7]...))
+	small := readFixture(f, "legacy-v2-small.zl")
+	f.Add(small)
+	// Shard mismatch: the first group's shard byte (stream header 12 B
+	// + group header offset 12) bumped past the declared shard count.
+	mut := append([]byte(nil), small...)
+	mut[24] = 0xFF
+	f.Add(mut)
+	// Declared shard count zeroed and inflated.
+	for _, shards := range []byte{0, 255} {
+		mut := append([]byte(nil), small...)
+		mut[8] = shards
+		f.Add(mut)
 	}
+	f.Add(readFixture(f, "legacy-v3-dict-2shard.zl")) // dictless: rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pOut, pErr := decompressParallel(data)
-		if pErr == nil && len(pOut) > 1<<26 {
-			t.Fatalf("implausible expansion: %d bytes", len(pOut))
-		}
 		sOut, sErr := DecompressBytes(data)
-		if pErr == nil && sErr != nil {
-			// The serial Reader decodes every container version; a
-			// stream only the parallel decoder accepts is a format
-			// divergence, not a feature.
-			t.Fatalf("parallel decoder accepted what the serial decoder rejects: %v", sErr)
+
+		zr, err := NewReader(bytes.NewReader(data), WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pErr == nil && sErr == nil && !bytes.Equal(pOut, sOut) {
-			t.Fatalf("serial and parallel decoders disagree: %d vs %d bytes", len(sOut), len(pOut))
+		streamed, streamErr := io.ReadAll(zr)
+		zr.Close()
+
+		dr, err := NewReader(nil, WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneShot, oneErr := dr.DecodeAll(data, nil)
+
+		for _, fan := range []struct {
+			name string
+			out  []byte
+			err  error
+		}{{"workers Reader", streamed, streamErr}, {"DecodeAll", oneShot, oneErr}} {
+			if fan.err != nil {
+				continue
+			}
+			if len(fan.out) > 1<<26 {
+				t.Fatalf("%s: implausible expansion: %d bytes", fan.name, len(fan.out))
+			}
+			if sErr != nil {
+				t.Fatalf("%s accepted what the serial Reader rejects: %v", fan.name, sErr)
+			}
+			if !bytes.Equal(fan.out, sOut) {
+				t.Fatalf("%s and the serial Reader disagree: %d vs %d bytes", fan.name, len(fan.out), len(sOut))
+			}
 		}
 	})
 }

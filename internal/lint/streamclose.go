@@ -11,7 +11,6 @@ import (
 // so discarding these errors discards a truncated-output signal.
 var StreamCloseTypes = map[string]bool{
 	"Writer": true, "Reader": true,
-	"ParallelWriter": true, "ParallelReader": true,
 }
 
 // streamClosePkg is the package whose stream types are checked — the

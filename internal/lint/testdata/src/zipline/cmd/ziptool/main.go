@@ -16,8 +16,7 @@ func discarded() {
 	r := zipline.NewReader()
 	r.Close() // want `error from \(\*zipline\.Reader\)\.Close is discarded`
 
-	var pw zipline.ParallelWriter
-	pw.Flush() // want `error from \(\*zipline\.Writer\)\.Flush is discarded`
+	w.Flush() // want `error from \(\*zipline\.Writer\)\.Flush is discarded`
 
 	_ = w.Close() // want `error from \(\*zipline\.Writer\)\.Close assigned to blank`
 }

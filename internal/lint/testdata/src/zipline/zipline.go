@@ -16,9 +16,6 @@ type Reader struct{}
 
 func (*Reader) Close() error { return nil }
 
-// ParallelWriter mirrors the deprecated alias in the real module.
-type ParallelWriter = Writer
-
 // NewWriter returns a stub writer.
 func NewWriter() *Writer { return &Writer{} }
 

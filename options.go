@@ -43,22 +43,31 @@ func (c Config) applyOption(s *settings) error {
 // to cross-check a WithDict configuration there.
 func WithConfig(cfg Config) Option { return cfg }
 
+// maxWorkers caps the worker pool WithWorkers configures.
+const maxWorkers = 255
+
 // WithWorkers sets the encode (Writer) or decode (Reader) concurrency.
-// 1 — the default — is the serial path; n > 1 selects the sharded
-// parallel engine with one basis-dictionary shard per worker (capped
-// at 255, the widest shard count the container records); 0 means
-// GOMAXPROCS. A parallel Reader still follows the stream's shard
-// count — workers only enable concurrent shard decoding.
+// 1 — the default — is the serial path; 0 means GOMAXPROCS; larger
+// values are capped at 255.
+//
+// A Writer with n > 1 encodes whole checkpoint spans on n workers and
+// emits the indexed version-4 container, byte-identical to a serial
+// WithIndex writer with the same interval: the output does not depend
+// on n. The span is the WithIndex interval when one is given, 1 MiB
+// otherwise; the Writer buffers at most 2n spans, and Flush is not
+// supported. A Reader with n > 1 decodes the checkpoint segments of an
+// indexed stream concurrently when its source is an io.ReaderAt and
+// io.ReadSeeker; other streams decode serially.
 func WithWorkers(n int) Option {
 	return optionFunc(func(s *settings) error {
 		if n < 0 {
-			return fmt.Errorf("zipline: workers %d out of range (0 = all CPUs, 1 = serial, ≤%d)", n, maxShards)
+			return fmt.Errorf("zipline: workers %d out of range (0 = all CPUs, 1 = serial, ≤%d)", n, maxWorkers)
 		}
 		if n == 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		if n > maxShards {
-			n = maxShards
+		if n > maxWorkers {
+			n = maxWorkers
 		}
 		s.workers = n
 		return nil
@@ -66,8 +75,8 @@ func WithWorkers(n int) Option {
 }
 
 // WithDict attaches a shared pre-trained dictionary (see TrainDict):
-// the frozen bases are available to every encoder shard from the
-// first chunk, and the container records the dictionary's identity so
+// the frozen bases are available to every encoder from the first
+// chunk, and the container records the dictionary's identity so
 // Readers can verify they hold the same one. A nil dict clears the
 // option. The dictionary fixes the configuration; combining WithDict
 // with a conflicting WithConfig is an error.
@@ -86,12 +95,14 @@ func WithDict(d *Dict) Option {
 // chunk); 0 selects the 16 KiB default. At each checkpoint the
 // encoder resets its basis dictionary to the frozen prefix of the
 // shared Dict (or empty), so a Reader can start decoding at any
-// checkpoint — that is what Reader.Seek/ReadAt and the indexed
-// DecodeAll/NewReader worker fan-out build on. Indexing requires the
-// serial writer (the index records one dictionary timeline); combining
-// WithIndex with WithWorkers(n > 1) on a Writer is an error. On a
-// Reader the option is accepted and ignored: readers follow the
-// stream.
+// checkpoint — that is what Reader.Seek/ReadAt, the indexed
+// DecodeAll/NewReader worker fan-out and the parallel Writer build on.
+// Small intervals seek fast but cost ratio: every checkpoint re-learns
+// the dictionary, so on sensor traces the 16 KiB default compresses
+// about four times worse than 1 MiB (ratio 0.458 against 0.110). With
+// WithWorkers(n > 1) the interval is also the span each encode worker
+// takes. On a Reader the option is accepted and ignored: readers
+// follow the stream.
 func WithIndex(checkpointBytes int) Option {
 	return optionFunc(func(s *settings) error {
 		if checkpointBytes < 0 {

@@ -1,507 +1,247 @@
 package zipline
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 	"sync"
 
 	"zipline/internal/bitvec"
 )
 
-// Parallel streaming engine (container versions 2 and 3).
+// Parallel engines. Both directions parallelise over the checkpoint
+// spans of the version-4 container (seekindex.go): at each checkpoint
+// the encoder resets its basis dictionary to the frozen prefix, so the
+// input between two checkpoints encodes and decodes independently of
+// the rest of the stream.
 //
-// A Writer configured with WithWorkers(n > 1) splits its input into
-// large fixed-size segments and fans them out to n workers,
-// pgzip-style. Worker w owns basis dictionary shard w and encodes
-// segments seq ≡ w (mod n) in order, so each shard's identifier
-// assignment evolves deterministically; a collector goroutine emits
-// the encoded groups strictly in segment order under the grouped
-// framing (stream.go), which records the shard per group. A Reader
-// configured with WithWorkers(n > 1) runs the mirror image: a pump
-// goroutine reads groups in order and dispatches each to its shard's
-// decode worker, and Read reassembles the decoded segments in stream
-// order.
+// A Writer configured with WithWorkers(n > 1) cuts its input at
+// checkpoint boundaries and hands each whole span to one of n workers.
+// A worker runs the serial blockEncoder from the frozen prefix and keeps
+// the span's groups in memory, cut exactly where the serial writer cuts
+// them. The Writer then emits the spans in stream order through
+// emitGroup, the function the serial path writes its groups with, which
+// assigns sequence numbers, checkpoint flags and index entries. The
+// container is therefore byte-identical to a serial WithIndex writer
+// with the same interval, whatever the worker count — the software
+// analogue of ZipLine running one GD pipeline per switch port. At most
+// 2n spans are buffered at once.
 //
-// Sharding trades a little compression for parallelism: each shard
-// only learns from the segments it encodes, so cross-shard duplicate
-// bases are stored once per shard — unless a shared pre-trained Dict
-// (WithDict) puts the hot bases in every shard from the first chunk.
-// With segments of 128 KiB the loss is small on the paper's
-// workloads, and throughput scales with cores — the software analogue
-// of ZipLine running one GD pipeline per switch port.
+// A Reader configured with WithWorkers(n > 1) runs the mirror image on
+// an indexed stream in a seekable source (idxReader below). Legacy
+// sharded containers (versions 2 and 3 with several shards) decode on
+// the serial path.
 
-// defaultSegmentBytes is the input segment handed to each worker. It
-// is a multiple of every valid chunk size (chunks are 2^(M-3) ≤ 4096
-// bytes), large enough to amortise hand-off costs and small enough to
-// keep per-shard dictionaries warm.
-const defaultSegmentBytes = 128 << 10
+// defaultSpanBytes is the checkpoint span of a parallel Writer given no
+// WithIndex interval. Each span re-learns the dictionary from the
+// frozen prefix, so the span must be long: on the default trace.Sensor
+// dataset 1 MiB spans give ratio 0.110 against 0.104 serial, where the
+// 16 KiB seek-oriented index default gives 0.458.
+const defaultSpanBytes = 1 << 20
 
-// maxShards is the widest shard count the container header can record.
-const maxShards = 255
-
-// pwJob carries one input segment through an encode worker.
-type pwJob struct {
-	seq   uint32
-	shard uint8
-	data  []byte         // input segment (owned by the job until collected)
-	block *bitvec.Writer // encoded records
-	stats StreamStats
-	err   error
-	done  chan struct{}
+// spanJob carries one checkpoint span through an encode worker. Jobs
+// and their buffers are recycled across spans and streams.
+type spanJob struct {
+	in     []byte // span input, a whole number of chunks
+	body   []byte // the span's group bodies, back to back
+	groups []spanGroup
+	stats  StreamStats
+	err    error
+	done   chan struct{} // receives one token per encode
 }
 
-// parEngine is the sharded encode engine behind a Writer with
-// workers > 1. Its goroutines and channels are started lazily on the
-// first dispatched segment and torn down by close/reset, so a pooled
-// Writer holds no goroutines between streams; the segment and block
-// pools persist across streams.
-type parEngine struct {
+// spanGroup locates one encoded group in spanJob.body.
+type spanGroup struct {
+	end    int // end offset of the group's bytes in body
+	bitLen uint32
+	start  int // offset of the group's first input byte in the span
+}
+
+// encode runs the span through enc from the frozen prefix, closing a
+// group where the serial writer would: after the chunk that fills a
+// block, and at the end of the span.
+func (job *spanJob) encode(enc *blockEncoder, cs int) {
+	job.body, job.groups, job.stats, job.err = job.body[:0], job.groups[:0], StreamStats{}, nil
+	enc.dict.Reset()
+	enc.block.Reset()
+	enc.stats = &job.stats
+	start := 0
+	for off := cs; off <= len(job.in); off += cs {
+		if job.err = enc.encodeChunk(job.in[off-cs : off]); job.err != nil {
+			return
+		}
+		if len(enc.block.Bytes()) >= defaultBlockBytes || off == len(job.in) {
+			job.body = append(job.body, enc.block.Bytes()...)
+			job.groups = append(job.groups, spanGroup{end: len(job.body), bitLen: uint32(enc.block.Len()), start: start})
+			enc.block.Reset()
+			start = off
+		}
+	}
+}
+
+// spanEngine is the span-parallel encoder behind a Writer with
+// workers > 1. Its goroutines start on the first dispatched span and
+// stop at Close or Reset, so a pooled Writer holds none between
+// streams; encoders and span buffers persist.
+type spanEngine struct {
 	codec   *Codec
 	dict    *Dict
-	shards  int
-	segSize int
+	workers int
+	span    int // bytes per span: the checkpoint interval
 
-	running       bool
-	jobs          []chan *pwJob
-	order         chan *pwJob
-	collectorDone chan struct{}
-
-	w     io.Writer    // destination, latched at start
-	stats *StreamStats // -> Writer.Stats, latched at start
-
-	pending []byte // partial input segment
-	seq     uint32
-
-	bufPool   sync.Pool // segment input buffers
-	blockPool sync.Pool // *bitvec.Writer block buffers
-
-	mu   sync.Mutex
-	werr error // first encode/write error, set by the collector
+	encs  []*blockEncoder // one per worker, built on first start
+	jobs  chan *spanJob   // nil while stopped
+	wg    sync.WaitGroup
+	queue []*spanJob // dispatched, not yet written, in stream order
+	free  []*spanJob
+	cur   *spanJob // span being filled by Write
+	err   error    // first encode or write error, sticky for the stream
 }
 
-func newParEngine(codec *Codec, set settings) *parEngine {
-	cs := codec.ChunkSize()
-	segSize := defaultSegmentBytes
-	if rem := segSize % cs; rem != 0 {
-		segSize += cs - rem
+func (se *spanEngine) start() {
+	cs := se.codec.ChunkSize()
+	if se.encs == nil {
+		se.encs = make([]*blockEncoder, se.workers)
 	}
-	pe := &parEngine{codec: codec, dict: set.dict, shards: set.workers, segSize: segSize}
-	pe.bufPool.New = func() any { return make([]byte, 0, segSize) }
-	pe.blockPool.New = func() any { return bitvec.NewWriter(segSize/cs*4 + 256) }
-	return pe
+	// Room for every span dispatch lets queue, so the send never blocks.
+	se.jobs = make(chan *spanJob, 2*se.workers)
+	for i := range se.encs {
+		se.wg.Add(1)
+		go func(jobs <-chan *spanJob) {
+			defer se.wg.Done()
+			if se.encs[i] == nil {
+				// Built on the worker's own goroutine, which allocates
+				// from its own P's cache: encoders built back to back
+				// shared cache lines and slowed every chunk through
+				// false sharing.
+				enc := newBlockEncoder(se.codec, se.dict)
+				enc.block = bitvec.NewWriter(defaultBlockBytes + 256)
+				se.encs[i] = enc
+			}
+			for job := range jobs {
+				job.encode(se.encs[i], cs)
+				job.done <- struct{}{}
+			}
+		}(se.jobs)
+	}
 }
 
-func (pe *parEngine) setErr(err error) {
-	pe.mu.Lock()
-	if pe.werr == nil {
-		pe.werr = err
+// stop discards every queued span and the one being filled, then waits
+// for the workers to exit.
+func (se *spanEngine) stop() {
+	for _, job := range se.queue {
+		<-job.done
+		se.free = append(se.free, job)
 	}
-	pe.mu.Unlock()
-}
-
-func (pe *parEngine) error() error {
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	return pe.werr
-}
-
-// start spins up the workers and collector for one stream.
-func (pe *parEngine) start(zw *Writer) {
-	if pe.running {
-		return
+	se.queue = se.queue[:0]
+	if se.cur != nil {
+		se.free = append(se.free, se.cur)
+		se.cur = nil
 	}
-	pe.running = true
-	pe.w, pe.stats = zw.w, &zw.Stats
-	pe.jobs = make([]chan *pwJob, pe.shards)
-	pe.order = make(chan *pwJob, 2*pe.shards)
-	pe.collectorDone = make(chan struct{})
-	for i := range pe.jobs {
-		pe.jobs[i] = make(chan *pwJob, 2)
-		go pe.worker(pe.jobs[i])
+	if se.jobs != nil {
+		close(se.jobs)
+		se.wg.Wait()
+		se.jobs = nil
 	}
-	go pe.collect(pe.order, pe.collectorDone)
-}
-
-// shutdown closes the job channels and waits for the collector, so
-// every goroutine has exited and every in-flight group is accounted
-// for when it returns.
-func (pe *parEngine) shutdown() {
-	if !pe.running {
-		return
-	}
-	pe.running = false
-	for _, ch := range pe.jobs {
-		close(ch)
-	}
-	close(pe.order)
-	<-pe.collectorDone
-	pe.jobs, pe.order, pe.collectorDone = nil, nil, nil
 }
 
 // reset returns the engine to its pre-stream state (Writer.Reset).
-func (pe *parEngine) reset() {
-	pe.shutdown()
-	if pe.pending != nil {
-		//ziplint:allow noalloc slice header boxed into sync.Pool only when Reset interrupts a partial segment — teardown, not steady state
-		pe.bufPool.Put(pe.pending[:0])
-		pe.pending = nil
-	}
-	pe.seq = 0
-	pe.mu.Lock()
-	pe.werr = nil
-	pe.mu.Unlock()
+func (se *spanEngine) reset() {
+	se.stop()
+	se.err = nil
 }
 
-// worker encodes one shard's segments in arrival order against the
-// shard's persistent dictionary (seeded with the shared Dict when one
-// is configured). The job channel is passed in because shutdown may
-// clear the engine's channel slice before a freshly spawned worker
-// gets scheduled.
-func (pe *parEngine) worker(jobs <-chan *pwJob) {
-	enc := newBlockEncoder(pe.codec, pe.dict)
-	cs := pe.codec.ChunkSize()
-	for job := range jobs {
-		enc.block, enc.stats = job.block, &job.stats
-		for off := 0; off < len(job.data) && job.err == nil; off += cs {
-			job.err = enc.encodeChunk(job.data[off : off+cs])
-		}
-		close(job.done)
-	}
-}
-
-// collect writes finished groups to the underlying writer in segment
-// order. It keeps draining after a failure so dispatchers never block.
-func (pe *parEngine) collect(order <-chan *pwJob, done chan<- struct{}) {
-	defer close(done)
-	failed := false
-	for job := range order {
-		<-job.done
-		if !failed {
-			err := job.err
-			if err == nil {
-				err = pe.writeGroup(job)
-			}
-			if err != nil {
-				pe.setErr(err)
-				failed = true
-			} else {
-				pe.stats.add(job.stats)
-			}
-		}
-		job.block.Reset()
-		pe.blockPool.Put(job.block)
-		pe.bufPool.Put(job.data[:0])
-	}
-}
-
-func (pe *parEngine) writeGroup(job *pwJob) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(job.block.Bytes())))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(job.block.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], job.seq)
-	hdr[12] = job.shard
-	if _, err := pe.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := pe.w.Write(job.block.Bytes())
-	return err
-}
-
-// dispatch hands a chunk-aligned segment to its shard's worker and
-// registers it with the collector, starting the engine if needed.
-func (pe *parEngine) dispatch(zw *Writer, seg []byte) {
-	pe.start(zw)
-	shard := int(pe.seq) % pe.shards
-	job := &pwJob{
-		seq:   pe.seq,
-		shard: uint8(shard),
-		data:  seg,
-		block: pe.blockPool.Get().(*bitvec.Writer),
-		done:  make(chan struct{}),
-	}
-	pe.seq++
-	pe.order <- job
-	pe.jobs[shard] <- job
-}
-
-// parWrite is Writer.Write for workers > 1.
-func (zw *Writer) parWrite(p []byte) (int, error) {
-	pe := zw.par
-	if err := pe.error(); err != nil {
-		return 0, err
-	}
-	if err := zw.writeHeader(); err != nil {
-		return 0, err
-	}
+// spanWrite is Writer.Write for workers > 1.
+func (zw *Writer) spanWrite(p []byte) (int, error) {
+	se := zw.spans
 	n := len(p)
-	for len(p) > 0 {
-		if pe.pending == nil {
-			pe.pending = pe.bufPool.Get().([]byte)
-		}
-		take := min(pe.segSize-len(pe.pending), len(p))
-		pe.pending = append(pe.pending, p[:take]...)
-		p = p[take:]
-		if len(pe.pending) == pe.segSize {
-			pe.dispatch(zw, pe.pending)
-			pe.pending = nil
-			// Re-check the latch per segment so a large Write stops
-			// segmenting (and the workers stop encoding) as soon as
-			// the collector records a failure, not at the next call.
-			if err := pe.error(); err != nil {
-				return n - len(p), err
-			}
-		}
-	}
-	return n, nil
-}
-
-// parClose is Writer.Close for workers > 1: it dispatches the final
-// partial segment, waits for every worker, then writes the tail and
-// trailer groups.
-func (zw *Writer) parClose() error {
-	pe := zw.par
-	var tail []byte
-	if len(pe.pending) > 0 {
-		cs := zw.codec.ChunkSize()
-		full := len(pe.pending) / cs * cs
-		// The sub-chunk remainder must outlive the recycled buffer.
-		tail = append([]byte(nil), pe.pending[full:]...)
-		if full > 0 {
-			pe.dispatch(zw, pe.pending[:full]) // collector recycles the buffer
-		} else {
-			pe.bufPool.Put(pe.pending[:0])
-		}
-		pe.pending = nil
-	}
-	pe.shutdown()
-	if err := pe.error(); err != nil {
-		return err
-	}
-	if err := zw.writeHeader(); err != nil { // empty stream: nothing dispatched
-		return err
-	}
-	return zw.parFinish(tail)
-}
-
-// parFinish writes the tail group (if any) and the trailer.
-func (zw *Writer) parFinish(tail []byte) error {
-	if len(tail) > 0 {
-		zw.Stats.TailBytes = uint64(len(tail))
-		body := appendTailBlock(make([]byte, 0, 3+len(tail)), tail)
-		hdr := zw.scratch[:16]
-		for i := range hdr {
-			hdr[i] = 0
-		}
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(body)*8)|tailBlockFlag)
-		binary.LittleEndian.PutUint32(hdr[8:], zw.par.seq)
-		if _, err := zw.w.Write(hdr); err != nil {
-			return err
-		}
-		if _, err := zw.w.Write(body); err != nil {
-			return err
-		}
-	}
-	return zw.writeTrailer()
-}
-
-// prJob carries one group through a decode worker.
-type prJob struct {
-	body   []byte
-	bitLen int
-	out    []byte
-	err    error
-	done   chan struct{}
-}
-
-// closedChan is a pre-closed done channel for jobs that need no work.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// parReader decodes a sharded stream with one worker per shard — the
-// engine a Reader with workers > 1 starts once the header reveals a
-// grouped multi-shard container.
-type parReader struct {
-	codec   *Codec
-	dict    *Dict
-	shards  int
-	version uint8
-	jobs    []chan *prJob
-	order   chan *prJob
-	stop    chan struct{}
-	once    sync.Once
-
-	shardStats []StreamStats
-	pumpTail   uint64
-	pumpErr    error // set by the pump before it closes order
-
-	// Buffer recycling, mirroring the writer's pools: compressed group
-	// bodies go back to bodyPool once decoded, decoded segments go
-	// back to outPool once Read has drained them.
-	bodyPool sync.Pool
-	outPool  sync.Pool
-
-	cur    []byte
-	curBuf []byte // full backing of cur, recycled when drained
-}
-
-// newParReader starts the decode workers and the pump for the stream
-// whose header zr has just parsed.
-func newParReader(zr *Reader) *parReader {
-	pr := &parReader{
-		codec:      zr.codec,
-		dict:       zr.streamDict,
-		shards:     zr.shards,
-		version:    zr.version,
-		jobs:       make([]chan *prJob, zr.shards),
-		order:      make(chan *prJob, 2*zr.shards),
-		stop:       make(chan struct{}),
-		shardStats: make([]StreamStats, zr.shards),
-	}
-	for i := range pr.jobs {
-		pr.jobs[i] = make(chan *prJob, 2)
-		go pr.worker(i)
-	}
-	go pr.pump(zr.r)
-	return pr
-}
-
-// worker decodes this shard's groups in arrival order against the
-// shard's persistent dictionary. The dictionary is built on the first
-// group so a corrupt header's shard count cannot force up-front
-// allocation of hundreds of full-capacity dictionaries.
-func (pr *parReader) worker(shard int) {
-	var dec *blockDecoder
-	for job := range pr.jobs[shard] {
-		if dec == nil {
-			dec = newBlockDecoder(pr.codec, &pr.shardStats[shard], pr.dict)
-		}
-		var out []byte
-		if b, _ := pr.outPool.Get().([]byte); b != nil {
-			out = b[:0]
-		}
-		job.out, job.err = dec.decodeRecords(job.body, job.bitLen, out)
-		// The compressed body is dead once decoded; every worker-bound
-		// job's body came from bodyPool (tail jobs never reach here).
-		pr.bodyPool.Put(job.body[:0])
-		job.body = nil
-		close(job.done)
-	}
-}
-
-// pump reads groups in stream order, dispatching each to its shard's
-// worker and to the in-order queue Read consumes from.
-func (pr *parReader) pump(r io.Reader) {
-	defer func() {
-		for _, ch := range pr.jobs {
-			close(ch)
-		}
-		close(pr.order)
-	}()
-	var nextSeq uint32
-	var hdr [16]byte
-	for {
-		// Group flags are a v4 construct; v4 streams never reach this
-		// engine (Reader.start routes them serially or via idxReader).
-		byteLen, bitWord, shard, _, err := readBlockHeader(r, pr.version, &nextSeq, &hdr)
-		if err != nil {
-			pr.pumpErr = err
-			return
-		}
-		if byteLen == 0 {
-			return // trailer
-		}
-		tailGroup := bitWord&tailBlockFlag != 0
-		var body []byte
-		if !tailGroup {
-			// Tail bodies are never pooled: the decoded tail aliases
-			// them and lives until Read consumes it.
-			if b, _ := pr.bodyPool.Get().([]byte); cap(b) >= int(byteLen) {
-				body = b[:byteLen]
-			}
-		}
-		if body == nil {
-			body = make([]byte, byteLen)
-		}
-		if _, err := io.ReadFull(r, body); err != nil {
-			pr.pumpErr = fmt.Errorf("%w: block body: %w", ErrCorrupt, truncErr(err))
-			return
-		}
-		tail, isTail, err := classifyGroup(bitWord, shard, pr.shards, body)
-		if err != nil {
-			pr.pumpErr = err
-			return
-		}
-		var job *prJob
-		if isTail {
-			pr.pumpTail += uint64(len(tail))
-			job = &prJob{out: tail, done: closedChan}
-		} else {
-			job = &prJob{body: body, bitLen: int(bitWord), done: make(chan struct{})}
-		}
-		select {
-		case pr.order <- job:
-		case <-pr.stop:
-			return
-		}
-		if job.body != nil {
-			select {
-			case pr.jobs[shard] <- job:
-			case <-pr.stop:
-				return
-			}
-		}
-	}
-}
-
-// read is Reader.Read for the parallel decode path.
-func (pr *parReader) read(zr *Reader, p []byte) (int, error) {
-	for len(pr.cur) == 0 {
-		if pr.curBuf != nil {
-			pr.outPool.Put(pr.curBuf[:0])
-			pr.curBuf = nil
-		}
-		job, ok := <-pr.order
-		if !ok {
-			if pr.pumpErr != nil {
-				zr.err = pr.pumpErr
+	for len(p) > 0 && se.err == nil {
+		if se.cur == nil {
+			if k := len(se.free); k > 0 {
+				se.cur = se.free[k-1]
+				se.free = se.free[:k-1]
+				se.cur.in = se.cur.in[:0]
 			} else {
-				zr.err = io.EOF
-				pr.finalizeStats(zr)
+				// Huge WithIndex spans grow on demand instead.
+				se.cur = &spanJob{in: make([]byte, 0, min(se.span, defaultSpanBytes)), done: make(chan struct{}, 1)}
 			}
-			return 0, zr.err
 		}
-		<-job.done
-		if job.err != nil {
-			zr.err = job.err
-			pr.release()
-			return 0, zr.err
+		take := min(se.span-len(se.cur.in), len(p))
+		se.cur.in = append(se.cur.in, p[:take]...)
+		p = p[take:]
+		if len(se.cur.in) == se.span {
+			zw.dispatch()
 		}
-		pr.cur, pr.curBuf = job.out, job.out
 	}
-	n := copy(p, pr.cur)
-	pr.cur = pr.cur[n:]
-	return n, nil
+	return n - len(p), se.err
 }
 
-// finalizeStats folds the per-shard counters into the Reader's Stats
-// once the whole stream has been consumed (every job's done channel
-// has been observed, so the workers' writes are visible).
-func (pr *parReader) finalizeStats(zr *Reader) {
-	zr.Stats = StreamStats{TailBytes: pr.pumpTail}
-	for _, s := range pr.shardStats {
-		zr.Stats.add(s)
+// dispatch hands the filled span to the workers, then writes finished
+// spans until at most 2n−1 are queued: with the span being filled, at
+// most 2n spans are buffered.
+func (zw *Writer) dispatch() {
+	se := zw.spans
+	job := se.cur
+	se.cur = nil
+	if se.jobs == nil {
+		se.start()
+	}
+	se.queue = append(se.queue, job)
+	se.jobs <- job
+	for len(se.queue) >= 2*se.workers {
+		zw.writeSpan()
 	}
 }
 
-// release unblocks the pump so its goroutine can exit early.
-func (pr *parReader) release() {
-	//ziplint:allow noalloc one-time closure under sync.Once at stream teardown
-	pr.once.Do(func() { close(pr.stop) })
+// writeSpan waits for the oldest queued span, writes it unless the
+// stream has already failed, and recycles it.
+func (zw *Writer) writeSpan() {
+	se := zw.spans
+	job := se.queue[0]
+	copy(se.queue, se.queue[1:])
+	se.queue = se.queue[:len(se.queue)-1]
+	<-job.done
+	if se.err == nil {
+		se.err = zw.emitSpan(job)
+	}
+	se.free = append(se.free, job)
+}
+
+// emitSpan writes one encoded span's groups, the first flagged as a
+// checkpoint. Spans go out in order, so the span starts at zw.uncomp.
+func (zw *Writer) emitSpan(job *spanJob) error {
+	if job.err != nil {
+		return job.err
+	}
+	zw.idx.pending = true
+	prev := 0
+	for _, g := range job.groups {
+		if err := zw.emitGroup(job.body[prev:g.end], g.bitLen, zw.uncomp+int64(g.start)); err != nil {
+			return err
+		}
+		prev = g.end
+	}
+	zw.uncomp += int64(len(job.in))
+	zw.Stats.add(job.stats)
+	return nil
+}
+
+// closeSpans is the parallel half of Close: it dispatches the
+// chunk-aligned part of the last span, writes every queued span and
+// stops the workers. The sub-chunk remainder moves to zw.pending for
+// the tail group Close writes next.
+func (zw *Writer) closeSpans() error {
+	se := zw.spans
+	if cur := se.cur; cur != nil && se.err == nil {
+		full := len(cur.in) / zw.chunkSize * zw.chunkSize
+		zw.pending = append(zw.pending[:0], cur.in[full:]...)
+		if cur.in = cur.in[:full]; full > 0 {
+			zw.dispatch()
+		}
+	}
+	for len(se.queue) > 0 {
+		zw.writeSpan()
+	}
+	se.stop()
+	return se.err
 }
 
 // segJob carries one checkpoint segment through an idxReader worker.
@@ -521,8 +261,7 @@ type segJob struct {
 // independent of every other segment; read stitches the decoded
 // segments back together in stream order. A feeder goroutine meters
 // segments through bounded channels, so a caller that stops reading
-// stops the decoding (and its memory) too, exactly like parReader's
-// pump.
+// stops the decoding (and its memory) too.
 type idxReader struct {
 	order chan *segJob
 	stop  chan struct{}
@@ -650,78 +389,4 @@ func (ir *idxReader) read(zr *Reader, p []byte) (int, error) {
 func (ir *idxReader) release() {
 	//ziplint:allow noalloc one-time closure under sync.Once at stream teardown
 	ir.once.Do(func() { close(ir.stop) })
-}
-
-// ParallelWriter is the sharded writer type of the pre-options API.
-//
-// Deprecated: ParallelWriter is now an alias for Writer — construct
-// with NewWriter(w, cfg, WithWorkers(n)).
-type ParallelWriter = Writer
-
-// NewParallelWriter builds a parallel compressing writer with the
-// given configuration and worker count (0 selects GOMAXPROCS, capped
-// at 255). As before, the container header is written immediately, so
-// destination errors still surface at construction.
-//
-// Deprecated: use NewWriter(w, cfg, WithWorkers(workers)), which
-// defers the header to the first Write/Close so the Writer can be
-// pooled. Note that workers == 1 now selects the serial (version-1)
-// container, which every Reader decodes.
-func NewParallelWriter(w io.Writer, cfg Config, workers int) (*ParallelWriter, error) {
-	if workers < 0 {
-		workers = 0
-	}
-	zw, err := NewWriter(w, cfg, WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	if err := zw.writeHeader(); err != nil {
-		return nil, err
-	}
-	return zw, nil
-}
-
-// ParallelReader is the sharded reader type of the pre-options API.
-//
-// Deprecated: ParallelReader is now an alias for Reader — construct
-// with NewReader(r, WithWorkers(n)).
-type ParallelReader = Reader
-
-// NewParallelReader opens a compressed stream with concurrent shard
-// decoding, reading and validating its header immediately (unlike
-// NewReader, which defers to the first Read).
-//
-// Deprecated: use NewReader(r, WithWorkers(0)).
-func NewParallelReader(r io.Reader) (*ParallelReader, error) {
-	zr, err := NewReader(r, WithWorkers(0))
-	if err != nil {
-		return nil, err
-	}
-	// The pre-options constructor surfaced header errors eagerly.
-	if err := zr.start(); err != nil {
-		return nil, err
-	}
-	return zr, nil
-}
-
-// CompressBytesParallel compresses data in one call using workers
-// parallel encoders (0 selects GOMAXPROCS); the result is readable by
-// any Reader configuration.
-//
-// Deprecated: use NewWriter with WithWorkers, or a pooled
-// (*Writer).EncodeAll for short streams.
-func CompressBytesParallel(data []byte, cfg Config, workers int) ([]byte, error) {
-	var buf appendWriter
-	pw, err := NewParallelWriter(&buf, cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := pw.Write(data); err != nil {
-		pw.Close() // release the workers; the write error wins
-		return nil, err
-	}
-	if err := pw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
 }

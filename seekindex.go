@@ -309,8 +309,8 @@ func (ix *streamIndex) segments() []idxSegment {
 	return segs
 }
 
-// writerIndex accumulates the trailing index while a serial Writer
-// emits a version-4 stream.
+// writerIndex accumulates the trailing index while a Writer emits a
+// version-4 stream.
 type writerIndex struct {
 	every      int64 // uncompressed bytes between checkpoints (chunk multiple)
 	groups     []indexGroup

@@ -34,9 +34,9 @@ import (
 // in lockstep on both sides without any side channel — the streaming
 // analogue of the control-plane protocol.
 //
-// Version 2 is the parallel (sharded) container written when a Writer
-// is configured with WithWorkers(n > 1). The 8-byte header above is
-// followed by
+// Version 2 is the legacy sharded container, written by earlier
+// releases' parallel writer and now only read. The 8-byte header above
+// is followed by
 //
 //	u8 shards | u8 reserved ×3
 //
@@ -45,19 +45,18 @@ import (
 //	u32le byteLen | u32le bitLen | u32le seq | u8 shard | u8 reserved ×3
 //
 // seq counts groups from zero; shard names the basis dictionary the
-// group's records were encoded against (the encoder assigns segment
-// seq to shard seq mod shards, and each shard's groups appear in the
-// stream in that shard's encode order). A decoder keeps one
-// dictionary per shard and replays each group against its recorded
-// shard, so identifier assignment stays in lockstep per shard whether
-// the groups are decoded serially or by per-shard workers. The tail
-// marker and the all-zero trailer group work as in version 1. Record
-// payloads are identical across versions.
+// group's records were encoded against (the legacy writer assigned
+// segment seq to shard seq mod shards). The serial Reader keeps one
+// decoder per shard and replays each group against its recorded
+// shard, so identifier assignment stays in lockstep per shard. The
+// tail marker and the all-zero trailer group work as in version 1.
+// Record payloads are identical across versions.
 //
-// Version 3 is the dictionary-framed container written when a Writer
-// is configured with WithDict. It uses the version-2 group framing
-// (shards == 1 for a serial writer) but the second extension byte
-// carries flags, and flagDict appends
+// Version 3 is the dictionary-framed container written when a serial
+// Writer is configured with WithDict. It uses the version-2 group
+// framing with shards == 1 (sharded version-3 streams, from the legacy
+// parallel writer, are read-only like version 2) but the second
+// extension byte carries flags, and flagDict appends
 //
 //	u32le dictID | u32le dictBases
 //
@@ -67,8 +66,9 @@ import (
 // ErrDictRequired or ErrDictMismatch instead of misdecoding.
 //
 // Version 4 is the seekable (indexed) container written under
-// WithIndex. It uses the version-3 framing (flags may still include
-// flagDict) plus flagIndex, and gives the fourteenth group-header byte
+// WithIndex and by every parallel Writer. It uses the version-3
+// framing with one shard (flags may still include flagDict) plus
+// flagIndex, and gives the fourteenth group-header byte
 // meaning as per-group flags: groupFlagCheckpoint marks a group before
 // which the encoder reset its basis dictionary to the frozen prefix,
 // so a streaming decoder replays the reset in-band while an indexed
@@ -78,9 +78,9 @@ import (
 const (
 	streamMagic = "ZLGD"
 	streamV1    = 1 // serial container
-	streamV2    = 2 // sharded container (WithWorkers > 1)
-	streamV3    = 3 // dictionary-framed sharded container (WithDict)
-	streamV4    = 4 // indexed/seekable container (WithIndex)
+	streamV2    = 2 // legacy sharded container (read-only)
+	streamV3    = 3 // dictionary-framed container (WithDict)
+	streamV4    = 4 // indexed/seekable container (WithIndex, WithWorkers > 1)
 )
 
 // flagDict marks a version ≥ 3 stream that records its pre-trained
@@ -143,9 +143,8 @@ const tailBlockFlag = 1 << 31
 // blockEncoder is the reusable encode unit shared by the serial path
 // and every parallel worker: it turns fixed-size chunks into
 // bit-packed records against one basis dictionary (optionally seeded
-// with a shared frozen Dict). The block and stats destinations are
-// fields so a worker can repoint them at the current job while the
-// dictionary persists across jobs.
+// with a shared frozen Dict). The stats destination is a field so a
+// worker can repoint it at the current span.
 type blockEncoder struct {
 	codec *Codec
 	dict  *gd.Dictionary
@@ -204,8 +203,9 @@ func (e *blockEncoder) encodeChunk(chunk []byte) error {
 	return nil
 }
 
-// blockDecoder is the matching decode unit: it replays one shard's
-// record blocks against one basis dictionary, mirroring the encoder's
+// blockDecoder is the matching decode unit: it replays the record
+// blocks of one dictionary timeline (one shard of a legacy sharded
+// stream) against one basis dictionary, mirroring the encoder's
 // insertions and recency refreshes.
 type blockDecoder struct {
 	codec *Codec
@@ -296,10 +296,14 @@ func appendTailBlock(dst, tail []byte) []byte {
 //   - WithWorkers(1) (the default) encodes serially on the caller's
 //     goroutine, buffering at most one chunk of input plus one output
 //     block.
-//   - WithWorkers(n > 1) fans input segments out to n workers with one
-//     basis-dictionary shard each, emitting the version-2 container.
-//   - WithDict shares a pre-trained basis dictionary across all shards
-//     and records it in the (version-3) container.
+//   - WithIndex makes the container seekable (version 4): the
+//     dictionary restarts from the frozen prefix at every checkpoint.
+//   - WithWorkers(n > 1) encodes whole checkpoint spans on n workers
+//     and writes the same bytes as a serial WithIndex writer with the
+//     same interval (1 MiB when WithIndex gives none), buffering at
+//     most 2n spans.
+//   - WithDict shares a pre-trained basis dictionary with every
+//     encoder and decoder and records it in the container.
 //
 // Close flushes the tail and the trailer; the stream is unreadable
 // without it. A finished Writer can be handed a new stream with Reset,
@@ -312,18 +316,15 @@ type Writer struct {
 	set   settings
 	codec *Codec
 
-	// Serial engine (workers == 1).
-	enc       *blockEncoder
-	pending   []byte // partial input chunk
-	chunkSize int    // hoisted codec.ChunkSize()
+	enc       *blockEncoder // serial engine (workers == 1)
+	spans     *spanEngine   // span-parallel engine (workers > 1)
+	pending   []byte        // partial input chunk; the tail at Close
+	chunkSize int           // hoisted codec.ChunkSize()
 
-	// Sharded engine (workers > 1), started lazily on first dispatch.
-	par *parEngine
+	grouped bool   // 16-byte group framing (v3+)
+	seq     uint32 // next group sequence number
 
-	grouped bool   // 16-byte group framing (v2+)
-	seq     uint32 // next group sequence number (serial grouped path)
-
-	// Trailing-index accumulation (WithIndex, serial only).
+	// Trailing-index accumulation (WithIndex or workers > 1).
 	idx     *writerIndex
 	written int64 // compressed bytes emitted (writeOut)
 	uncomp  int64 // uncompressed bytes consumed into groups
@@ -358,10 +359,10 @@ func (s *StreamStats) add(o StreamStats) {
 }
 
 // NewWriter builds a compressing writer. Options select the operating
-// point (WithConfig), concurrency (WithWorkers) and shared dictionary
-// (WithDict); a bare Config is accepted as an option for
-// compatibility with the pre-options signature. w may be nil for a
-// Writer used only through EncodeAll.
+// point (WithConfig), concurrency (WithWorkers), seekability
+// (WithIndex) and shared dictionary (WithDict); a bare Config is
+// accepted as an option for compatibility with the pre-options
+// signature. w may be nil for a Writer used only through EncodeAll.
 func NewWriter(w io.Writer, opts ...Option) (*Writer, error) {
 	set, err := resolveOptions(opts)
 	if err != nil {
@@ -372,30 +373,24 @@ func NewWriter(w io.Writer, opts ...Option) (*Writer, error) {
 		return nil, err
 	}
 	set.cfg = codec.cfg
-	if set.workers > 1 {
-		if set.index {
-			return nil, fmt.Errorf("zipline: WithIndex requires a serial writer — the index records one dictionary timeline, and decode-side parallelism comes from the index itself")
-		}
-		zw := &Writer{w: w, set: set, codec: codec, grouped: true}
-		zw.par = newParEngine(codec, set)
-		return zw, nil
-	}
-	return newSerialWriter(w, set, codec), nil
+	return newWriter(w, set, codec), nil
 }
 
-// newSerialWriter assembles the single-shard engine around an
-// existing codec (shared by NewWriter and the EncodeAll pool).
-func newSerialWriter(w io.Writer, set settings, codec *Codec) *Writer {
-	zw := &Writer{w: w, set: set, codec: codec, grouped: set.dict != nil || set.index}
-	zw.enc = newBlockEncoder(codec, set.dict)
-	zw.enc.block = bitvec.NewWriter(defaultBlockBytes + 256)
-	zw.enc.stats = &zw.Stats
-	zw.chunkSize = codec.ChunkSize()
-	if set.index {
-		every := int64(set.indexEvery)
+// newWriter assembles the engine set selects around an existing codec
+// (shared by NewWriter and the EncodeAll pool).
+func newWriter(w io.Writer, set settings, codec *Codec) *Writer {
+	zw := &Writer{w: w, set: set, codec: codec, chunkSize: codec.ChunkSize()}
+	var every int64
+	switch {
+	case set.index:
+		every = int64(set.indexEvery)
 		if every == 0 {
 			every = defaultCheckpointBytes
 		}
+	case set.workers > 1:
+		every = defaultSpanBytes
+	}
+	if every > 0 {
 		// Checkpoints land on chunk boundaries: round the interval up
 		// to a whole chunk.
 		if rem := every % int64(zw.chunkSize); rem != 0 {
@@ -404,18 +399,24 @@ func newSerialWriter(w io.Writer, set settings, codec *Codec) *Writer {
 		zw.idx = &writerIndex{every: every}
 		zw.idx.reset()
 	}
+	zw.grouped = set.dict != nil || zw.idx != nil
+	if set.workers > 1 {
+		zw.spans = &spanEngine{codec: codec, dict: set.dict, workers: set.workers, span: int(every)}
+		return zw
+	}
+	zw.enc = newBlockEncoder(codec, set.dict)
+	zw.enc.block = bitvec.NewWriter(defaultBlockBytes + 256)
+	zw.enc.stats = &zw.Stats
 	return zw
 }
 
 // version returns the container version this writer emits.
 func (zw *Writer) version() uint8 {
 	switch {
-	case zw.set.index:
+	case zw.idx != nil:
 		return streamV4
 	case zw.set.dict != nil:
 		return streamV3
-	case zw.set.workers > 1:
-		return streamV2
 	default:
 		return streamV1
 	}
@@ -424,14 +425,14 @@ func (zw *Writer) version() uint8 {
 // Reset discards the current stream state and directs the writer at a
 // new destination, keeping every allocation: the basis dictionary
 // (cleared back to its frozen prefix), the block buffer, and — for
-// workers > 1 — the segment and block pools. A pooled Writer re-serves
-// short streams with zero steady-state allocations when its
-// dictionary is warm.
+// workers > 1 — the per-worker encoders and span buffers. A pooled
+// Writer re-serves short streams with zero steady-state allocations
+// when its dictionary is warm.
 //
 //zipline:noalloc
 func (zw *Writer) Reset(w io.Writer) {
-	if zw.par != nil {
-		zw.par.reset()
+	if zw.spans != nil {
+		zw.spans.reset()
 	}
 	zw.w = w
 	zw.pending = zw.pending[:0]
@@ -457,11 +458,11 @@ func (zw *Writer) Write(p []byte) (int, error) {
 	if zw.w == nil {
 		return 0, fmt.Errorf("zipline: Writer has no destination (NewWriter(nil, ...) serves EncodeAll only)")
 	}
-	if zw.par != nil {
-		return zw.parWrite(p)
-	}
 	if err := zw.writeHeader(); err != nil {
 		return 0, err
+	}
+	if zw.spans != nil {
+		return zw.spanWrite(p)
 	}
 	n := len(p)
 	cs := zw.chunkSize
@@ -499,9 +500,9 @@ func (zw *Writer) Write(p []byte) (int, error) {
 // container carries records at chunk granularity, so a mid-stream
 // flush cannot move them. Flushing before any input still forces the
 // stream header out. Flush requires the serial engine
-// (WithWorkers(1)); the sharded writer buffers per worker and returns
-// an error. On an indexed (WithIndex) writer every flushed block is
-// recorded in the trailing index as usual.
+// (WithWorkers(1)); the parallel writer buffers whole spans and
+// returns an error. On an indexed (WithIndex) writer every flushed
+// block is recorded in the trailing index as usual.
 func (zw *Writer) Flush() error {
 	if zw.closed {
 		return fmt.Errorf("zipline: flush after Close")
@@ -509,7 +510,7 @@ func (zw *Writer) Flush() error {
 	if zw.w == nil {
 		return fmt.Errorf("zipline: Writer has no destination (NewWriter(nil, ...) serves EncodeAll only)")
 	}
-	if zw.par != nil {
+	if zw.spans != nil {
 		return fmt.Errorf("zipline: Flush requires the serial writer (WithWorkers(1))")
 	}
 	if err := zw.writeHeader(); err != nil {
@@ -518,8 +519,8 @@ func (zw *Writer) Flush() error {
 	return zw.flushBlock()
 }
 
-// writeHeader emits the container header (with the v2/v3 extension
-// and dict frame as configured) from the writer's scratch, so the
+// writeHeader emits the container header (with the v3+ extension and
+// dict frame as configured) from the writer's scratch, so the
 // steady-state pooled path allocates nothing.
 func (zw *Writer) writeHeader() error {
 	if zw.wroteHeader {
@@ -530,18 +531,14 @@ func (zw *Writer) writeHeader() error {
 	b := append(zw.scratch[:0], streamMagic...)
 	b = append(b, zw.version(), byte(cfg.M), byte(cfg.IDBits), byte(cfg.T))
 	if zw.grouped {
-		shards := 1
-		if zw.par != nil {
-			shards = zw.par.shards
-		}
 		var flags byte
 		if zw.set.dict != nil {
 			flags |= flagDict
 		}
-		if zw.set.index {
+		if zw.idx != nil {
 			flags |= flagIndex
 		}
-		b = append(b, byte(shards), flags, 0, 0)
+		b = append(b, 1, flags, 0, 0) // one shard: every writer keeps one dictionary timeline
 		if zw.set.dict != nil {
 			b = binary.LittleEndian.AppendUint32(b, zw.set.dict.id)
 			b = binary.LittleEndian.AppendUint32(b, uint32(zw.set.dict.Len()))
@@ -588,7 +585,7 @@ func (zw *Writer) encodeChunk(chunk []byte) error {
 	return nil
 }
 
-// blockHeader assembles a block (v1) or group (v2+) header in the
+// blockHeader assembles a block (v1) or group (v3+) header in the
 // writer's scratch, consuming a sequence number in grouped mode.
 // gflags fills the version-4 group-flags byte (zero elsewhere).
 func (zw *Writer) blockHeader(byteLen, bitWord uint32, gflags byte) []byte {
@@ -609,19 +606,33 @@ func (zw *Writer) flushBlock() error {
 	if block.Len() == 0 {
 		return nil
 	}
-	var gflags byte
+	var start int64
 	if zw.idx != nil {
-		gflags = zw.idx.record(zw.written, zw.idx.groupStart)
+		start = zw.idx.groupStart
 	}
-	hdr := zw.blockHeader(uint32(len(block.Bytes())), uint32(block.Len()), gflags)
-	if err := zw.writeOut(hdr); err != nil {
-		return err
-	}
-	if err := zw.writeOut(block.Bytes()); err != nil {
+	if err := zw.emitGroup(block.Bytes(), uint32(block.Len()), start); err != nil {
 		return err
 	}
 	block.Reset()
 	return nil
+}
+
+// emitGroup writes one record or tail group whose first byte sits at
+// uncompressed offset uncompOff: it registers the group in the
+// trailing index (consuming a pending checkpoint into the group
+// flags), then writes the header and body. Every group of every
+// writer goes out through here.
+//
+//zipline:noalloc
+func (zw *Writer) emitGroup(body []byte, bitWord uint32, uncompOff int64) error {
+	var gflags byte
+	if zw.idx != nil {
+		gflags = zw.idx.record(zw.written, uncompOff)
+	}
+	if err := zw.writeOut(zw.blockHeader(uint32(len(body)), bitWord, gflags)); err != nil {
+		return err
+	}
+	return zw.writeOut(body)
 }
 
 // Close flushes buffered records, the input tail and the stream
@@ -637,19 +648,25 @@ func (zw *Writer) Close() error {
 	if zw.w == nil {
 		return nil // EncodeAll-only writer, nothing buffered
 	}
-	if zw.par != nil {
-		zw.closeErr = zw.parClose()
-	} else {
-		zw.closeErr = zw.closeSerial()
-	}
+	zw.closeErr = zw.finish()
 	return zw.closeErr
 }
 
-func (zw *Writer) closeSerial() error {
+// finish writes everything Close owes the stream: the last records,
+// the tail group, the trailer and, when indexed, the footer.
+func (zw *Writer) finish() error {
+	// The header write is attempted once, so a failure here means no
+	// earlier Write buffered anything or started workers.
 	if err := zw.writeHeader(); err != nil {
 		return err
 	}
-	if err := zw.flushBlock(); err != nil {
+	var err error
+	if zw.spans != nil {
+		err = zw.closeSpans()
+	} else {
+		err = zw.flushBlock()
+	}
+	if err != nil {
 		return err
 	}
 	// Tail block: raw trailing bytes that did not fill a chunk.
@@ -658,19 +675,13 @@ func (zw *Writer) closeSerial() error {
 			return fmt.Errorf("zipline: tail of %d bytes exceeds format limit", len(zw.pending))
 		}
 		zw.Stats.TailBytes = uint64(len(zw.pending))
-		var gflags byte
 		if zw.idx != nil {
 			// The raw tail needs no dictionary state, so it is always
 			// its own checkpoint: Seek can jump straight into it.
 			zw.idx.pending = true
-			gflags = zw.idx.record(zw.written, zw.uncomp)
 		}
 		body := appendTailBlock(make([]byte, 0, 3+len(zw.pending)), zw.pending)
-		hdr := zw.blockHeader(uint32(len(body)), uint32(len(body)*8)|tailBlockFlag, gflags)
-		if err := zw.writeOut(hdr); err != nil {
-			return err
-		}
-		if err := zw.writeOut(body); err != nil {
+		if err := zw.emitGroup(body, uint32(len(body)*8)|tailBlockFlag, zw.uncomp); err != nil {
 			return err
 		}
 		zw.uncomp += int64(len(zw.pending))
@@ -709,12 +720,14 @@ func (zw *Writer) writeTrailer() error {
 // Reader decompresses a stream produced by any Writer configuration —
 // it understands all four container versions, following the stream's
 // recorded shard count and dictionary identity. It implements
-// io.Reader. With WithWorkers(n > 1), sharded streams are decoded by
-// one worker per shard; Close then releases those workers without
-// draining the stream. Like Writer, a Reader can be pooled: Reset
-// points it at a new stream and, on the serial decode path, reuses
-// its shard decoders (dictionaries included) whenever the next header
-// matches the last; the parallel engine is rebuilt per stream.
+// io.Reader. With WithWorkers(n > 1), an indexed stream in an
+// io.ReaderAt + io.ReadSeeker source is decoded by n workers, one
+// checkpoint segment each; Close then releases those workers without
+// draining the stream. Every other stream decodes serially. Like
+// Writer, a Reader can be pooled: Reset points it at a new stream and,
+// on the serial decode path, reuses its shard decoders (dictionaries
+// included) whenever the next header matches the last; the parallel
+// engine is rebuilt per stream.
 // Streaming methods must not be called concurrently; DecodeAll may be
 // called from any number of goroutines.
 type Reader struct {
@@ -732,7 +745,6 @@ type Reader struct {
 	decDict  *Dict           // dict decs were built against (Reset reuse)
 	nextSeq  uint32
 
-	par *parReader // per-shard decode workers (workers > 1)
 	ixr *idxReader // index-segment decode workers (workers > 1, indexed stream)
 
 	// Random-access state, live when the source is an io.ReadSeeker.
@@ -761,9 +773,9 @@ type Reader struct {
 
 // NewReader opens a compressed stream, reading and validating its
 // header lazily on first Read. Options: WithWorkers enables
-// concurrent shard decoding, WithDict supplies the shared dictionary
-// a version-3 stream requires. r may be nil for a Reader used only
-// through DecodeAll.
+// concurrent checkpoint-segment decoding, WithDict supplies the shared
+// dictionary a dictionary-framed stream requires. r may be nil for a
+// Reader used only through DecodeAll.
 func NewReader(r io.Reader, opts ...Option) (*Reader, error) {
 	set, err := resolveOptions(opts)
 	if err != nil {
@@ -779,18 +791,11 @@ func NewReader(r io.Reader, opts ...Option) (*Reader, error) {
 // same-configuration streams without rebuilding its dictionaries.
 //
 // After Close or Reset of a partially consumed workers > 1 stream,
-// the released pump goroutine may still be blocked in a read on the
-// old source (Go cannot interrupt a blocking Read); its read position
-// is then undefined, so do not hand that same source's remaining
-// bytes to another reader. Fully drained streams, and any in-memory
-// or file source, are unaffected.
+// released decode workers may still finish a ReadAt on the old source
+// before they exit.
 //
 //zipline:noalloc
 func (zr *Reader) Reset(r io.Reader) {
-	if zr.par != nil {
-		zr.par.release()
-		zr.par = nil
-	}
 	if zr.ixr != nil {
 		zr.ixr.release()
 		zr.ixr = nil
@@ -835,16 +840,6 @@ func (zr *Reader) start() error {
 	zr.version, zr.shards, zr.grouped = info.version, info.shards, info.grouped
 	zr.streamDict = dict
 	zr.hasIndex = info.hasIndex
-	if zr.set.workers > 1 && info.shards > 1 && info.grouped && info.version < streamV4 {
-		// Concurrent decode: the parReader workers own their decoders;
-		// the serial slice stays untouched for a later serial stream.
-		// Version-4 streams are excluded: our writer only indexes
-		// single-shard streams, and the shard workers do not replay
-		// checkpoint resets — a forged multi-shard v4 container must
-		// decode identically on every path, so it takes the serial one.
-		zr.par = newParReader(zr)
-		return nil
-	}
 	if zr.set.workers > 1 && info.hasIndex && info.shards == 1 {
 		// Indexed fan-out: decode checkpoint segments concurrently. A
 		// non-seekable or single-segment source falls through to the
@@ -992,11 +987,6 @@ func (zr *Reader) Read(p []byte) (int, error) {
 		zr.err = err
 		return 0, err
 	}
-	if zr.par != nil {
-		n, err := zr.par.read(zr, p)
-		zr.pos += int64(n)
-		return n, err
-	}
 	if zr.ixr != nil {
 		n, err := zr.ixr.read(zr, p)
 		zr.pos += int64(n)
@@ -1040,7 +1030,7 @@ func (zr *Reader) Seek(offset int64, whence int) (int64, error) {
 		zr.err = err
 		return 0, err
 	}
-	if zr.par != nil || zr.ixr != nil {
+	if zr.ixr != nil {
 		return 0, fmt.Errorf("zipline: Seek requires the serial decode path (WithWorkers(1))")
 	}
 	if zr.seeker == nil {
@@ -1145,9 +1135,6 @@ func (zr *Reader) ReadAt(p []byte, off int64) (int, error) {
 // io.ReadCloser. See Reset for the state of a partially consumed
 // source after an early Close.
 func (zr *Reader) Close() error {
-	if zr.par != nil {
-		zr.par.release()
-	}
 	if zr.ixr != nil {
 		zr.ixr.release()
 	}
@@ -1178,8 +1165,8 @@ func (zr *Reader) readBlock() error {
 	// what it keeps (parseTailBlock's slice is appended to out, a miss
 	// basis is copied into the dictionary) — so one recycled scratch buffer
 	// serves every block. Oversized lengths (only a corrupt or hostile
-	// header produces them; real groups are bounded by the segment
-	// size) use a throwaway allocation instead, so a pooled Reader
+	// header produces them; real groups are bounded by the block
+	// size, or the legacy sharded writer's segment size) use a throwaway allocation instead, so a pooled Reader
 	// never pins a huge buffer.
 	var body []byte
 	if byteLen <= maxPooledBlockLen {
@@ -1239,7 +1226,7 @@ func (zr *Reader) decodeAllInto(dst []byte) ([]byte, error) {
 // any container version: tail groups are validated and their bytes
 // returned (aliasing body); record groups get their shard and bit
 // length bounds checked. Keeping one validator means the serial and
-// parallel decoders accept exactly the same streams.
+// indexed decoders accept exactly the same streams.
 func classifyGroup(bitWord uint32, shard uint8, shards int, body []byte) (tail []byte, isTail bool, err error) {
 	if bitWord&tailBlockFlag != 0 {
 		t, err := parseTailBlock(body)

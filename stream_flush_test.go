@@ -133,7 +133,7 @@ func TestWriterFlushIndexed(t *testing.T) {
 }
 
 // TestWriterFlushErrors pins the refusal paths: after Close, without a
-// destination, and on the sharded engine.
+// destination, and on the span-parallel engine.
 func TestWriterFlushErrors(t *testing.T) {
 	zw, err := NewWriter(&bytes.Buffer{})
 	if err != nil {
@@ -158,7 +158,7 @@ func TestWriterFlushErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := pw.Flush(); err == nil {
-		t.Fatal("Flush on sharded writer succeeded")
+		t.Fatal("Flush on parallel writer succeeded")
 	}
 	if err := pw.Close(); err != nil {
 		t.Fatal(err)

@@ -74,15 +74,6 @@ func TestIndexedRoundTripWithDict(t *testing.T) {
 	}
 }
 
-func TestWithIndexRejectsParallelWriter(t *testing.T) {
-	if _, err := NewWriter(io.Discard, WithIndex(0), WithWorkers(4)); err == nil {
-		t.Fatal("WithIndex with a parallel writer must fail")
-	}
-	if _, err := NewWriter(io.Discard, WithIndex(-1)); err == nil {
-		t.Fatal("negative checkpoint interval must fail")
-	}
-}
-
 func TestIndexedFooterLayout(t *testing.T) {
 	data := sensorLike(t, 64<<10, 3)
 	comp := indexedStream(t, data, 0, nil)
@@ -222,6 +213,10 @@ func TestSeekRequiresIndex(t *testing.T) {
 	zr := mustReader(t, bytes.NewReader(comp))
 	if _, err := zr.Seek(0, io.SeekStart); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("Seek on unindexed stream: %v, want ErrNoIndex", err)
+	}
+	zr = mustReader(t, bytes.NewReader(readFixture(t, "legacy-v2-3shard.zl")))
+	if _, err := zr.Seek(0, io.SeekStart); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("Seek on legacy sharded stream: %v, want ErrNoIndex", err)
 	}
 	// Unseekable source.
 	data := sensorLike(t, 4096, 6)
@@ -388,11 +383,7 @@ func TestStreamTruncatedAtEveryBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams["v1-serial"] = v1
-	v2, err := CompressBytesParallel(data, Config{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams["v2-sharded"] = v2
+	streams["v2-sharded"] = readFixture(t, "legacy-v2-small.zl") // this data, 3 shards
 	var v3buf bytes.Buffer
 	zw, err := NewWriter(&v3buf, WithDict(dict))
 	if err != nil {

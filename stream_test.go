@@ -7,6 +7,32 @@ import (
 	"testing"
 )
 
+// sensorLike builds a compressible test payload: many repeats of a few
+// base chunks with single-bit glitches, the workload GD is built for.
+// Shared with the external test package via export_test.go.
+func sensorLike(t testing.TB, size int, seed int64) []byte {
+	t.Helper()
+	return sensorLikeData(size, seed)
+}
+
+func sensorLikeData(size int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	bases := make([][]byte, 8)
+	for i := range bases {
+		bases[i] = make([]byte, 32)
+		rng.Read(bases[i])
+	}
+	data := make([]byte, 0, size)
+	for len(data) < size {
+		chunk := append([]byte(nil), bases[rng.Intn(len(bases))]...)
+		if rng.Intn(2) == 0 {
+			chunk[rng.Intn(32)] ^= 1 << uint(rng.Intn(8))
+		}
+		data = append(data, chunk...)
+	}
+	return data[:size]
+}
+
 func TestStreamRoundTripRandomSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, size := range []int{0, 1, 31, 32, 33, 64, 1000, 100_000} {
