@@ -404,11 +404,11 @@ func (c *Controller) pickVictim() string {
 	victimKey := ""
 	victimIdle := int64(-1)
 	//ziplint:allow determinism min-idle reduction with lexicographic tie-break is iteration-order-insensitive
-	for k := range c.byKey {
+	for k, m := range c.byKey {
 		if c.recycling[k] {
 			continue
 		}
-		idle, live := c.idleAcrossEncoders(k)
+		idle, live := c.idleAcrossEncoders(m.basis.Bytes())
 		if !live {
 			continue
 		}
@@ -419,10 +419,10 @@ func (c *Controller) pickVictim() string {
 	return victimKey
 }
 
-// idleAcrossEncoders reports how long key has been idle on every
+// idleAcrossEncoders reports how long the basis key has been idle on every
 // encoder that holds it (minimum idle — one recent hit anywhere keeps
 // the entry warm), and whether any encoder holds it at all.
-func (c *Controller) idleAcrossEncoders(key string) (int64, bool) {
+func (c *Controller) idleAcrossEncoders(key []byte) (int64, bool) {
 	minIdle, live := int64(0), false
 	for _, enc := range c.encs {
 		tbl, ok := enc.Table(zswitch.TableBasisToID)
@@ -489,7 +489,7 @@ func (c *Controller) sweep() {
 		present := 0
 		for _, enc := range c.encs {
 			if tbl, ok := enc.Table(zswitch.TableBasisToID); ok {
-				if _, holds := tbl.IdleTime(key, now); holds {
+				if _, holds := tbl.IdleTime([]byte(key), now); holds {
 					present++
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"zipline/internal/bitvec"
 	"zipline/internal/netsim"
 	"zipline/internal/tofino"
 	"zipline/internal/zswitch"
@@ -57,7 +58,7 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 	check := func() {
 		for _, enc := range []*tofino.Pipeline{enc1, enc2} {
 			encTbl, _ := enc.Table(zswitch.TableBasisToID)
-			if _, hit := encTbl.Get(s.Basis.Key()); !hit {
+			if _, hit := encTbl.Get(s.Basis.Bytes()); !hit {
 				continue
 			}
 			for _, dec := range []*tofino.Pipeline{dec1, dec2} {
@@ -113,5 +114,62 @@ func TestLearningDelaySample(t *testing.T) {
 	}
 	if tb.ctl.Stats().DigestBytes == 0 {
 		t.Fatal("digest byte volume not counted")
+	}
+}
+
+// learnAllocs measures the allocations of one steady-state learn —
+// digest, recycle of the least recently used identifier, decoder
+// installs, encoder installs — by a controller owning n encoders and
+// n decoders. A two-identifier pool makes every learn a recycle, so
+// the tables stop growing after the warmup.
+func learnAllocs(t *testing.T, n int) float64 {
+	sim := netsim.NewSim(4)
+	var encs, decs []*tofino.Pipeline
+	var prog *zswitch.Program
+	for i := 0; i < n; i++ {
+		p, enc := loadPipeline(t, zswitch.RoleEncode)
+		_, dec := loadPipeline(t, zswitch.RoleDecode)
+		prog, encs, decs = p, append(encs, enc), append(decs, dec)
+	}
+	ctl, err := NewMulti(sim, Config{IDLimit: 2}, encs, decs, prog.Codec().BasisBits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var bases []*bitvec.Vector
+	for len(bases) < 6 {
+		chunk := make([]byte, prog.Codec().ChunkBytes())
+		rng.Read(chunk)
+		s, err := prog.Codec().SplitChunk(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, s.Basis)
+	}
+	next := 0
+	learn := func() {
+		ctl.HandleDigestNow(bases[next%len(bases)])
+		next++
+		sim.Run()
+	}
+	for range bases {
+		learn()
+	}
+	allocs := testing.AllocsPerRun(60, learn)
+	if st := ctl.Stats(); st.Learned != uint64(next) || st.Recycled != uint64(next-2) {
+		t.Fatalf("%d pipelines: stats %+v after %d learns", n, st, next)
+	}
+	return allocs
+}
+
+// TestLearnAllocsIndependentOfFanout: installing a mapping on every
+// pipeline allocates nothing per pipeline, so a learn that reaches 32
+// decoders and 32 encoders costs the same allocations as one that
+// reaches 2.
+func TestLearnAllocsIndependentOfFanout(t *testing.T) {
+	small, large := learnAllocs(t, 2), learnAllocs(t, 32)
+	t.Logf("allocs per learn: %.1f (2 pipelines per tier), %.1f (32)", small, large)
+	if small != large {
+		t.Fatalf("a learn allocates %.1f with 2 pipelines per tier, %.1f with 32", small, large)
 	}
 }

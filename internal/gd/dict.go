@@ -1,11 +1,11 @@
 package gd
 
 import (
-	"bytes"
 	"fmt"
 	"hash/maphash"
 
 	"zipline/internal/bitvec"
+	"zipline/internal/slotindex"
 )
 
 // Dictionary maps bases to short identifiers with LRU replacement,
@@ -40,7 +40,7 @@ type Dictionary struct {
 	links      []lruLink
 	head, tail int32
 	live       int
-	index      basisIndex
+	index      slotindex.Index
 	freed      []uint32 // ids returned by Remove, LIFO
 
 	views   []bitvec.Vector // per-slot headers handed out by LookupID
@@ -74,7 +74,7 @@ type Frozen struct {
 	stride int
 	arena  []byte          // basis of id i at arena[i*stride:]
 	views  []bitvec.Vector // id → vector aliasing the arena
-	index  basisIndex
+	index  slotindex.Index
 }
 
 // NewFrozen builds a frozen dictionary from bases, assigning ids
@@ -82,7 +82,7 @@ type Frozen struct {
 // copied, so the caller's vectors stay free to mutate. All bases must
 // have the same length.
 func NewFrozen(bases []*bitvec.Vector) *Frozen {
-	f := &Frozen{nbits: -1, index: basisIndex{seed: maphash.MakeSeed()}}
+	f := &Frozen{nbits: -1, index: slotindex.New(maphash.MakeSeed())}
 	var n int32
 	for _, b := range bases {
 		if f.nbits < 0 {
@@ -90,12 +90,12 @@ func NewFrozen(bases []*bitvec.Vector) *Frozen {
 		} else if b.Len() != f.nbits {
 			panic(fmt.Sprintf("gd: frozen basis of %d bits among %d-bit bases", b.Len(), f.nbits))
 		}
-		h := f.index.hash(b.Bytes())
-		if _, dup := f.index.find(h, b.Bytes(), f.arena, f.stride); dup {
+		h := f.index.Hash(b.Bytes())
+		if _, dup := f.index.Find(h, b.Bytes(), f.arena, f.stride); dup {
 			continue
 		}
 		f.arena = append(f.arena, b.Bytes()...)
-		f.index.insert(h, n)
+		f.index.Insert(h, n)
 		n++
 	}
 	f.views = make([]bitvec.Vector, n)
@@ -130,7 +130,7 @@ func NewDictionary(idBits int) *Dictionary {
 		nbits:    -1,
 		head:     slotNone,
 		tail:     slotNone,
-		index:    basisIndex{seed: maphash.MakeSeed()},
+		index:    slotindex.New(maphash.MakeSeed()),
 	}
 }
 
@@ -150,7 +150,7 @@ func NewDictionaryFrozen(idBits int, frozen *Frozen) *Dictionary {
 		d.base = uint32(frozen.Len())
 		d.nbits, d.stride = frozen.nbits, frozen.stride
 		// One hash per lookup serves both indexes.
-		d.index.seed = frozen.index.seed
+		d.index = slotindex.New(frozen.index.Seed())
 	}
 	return d
 }
@@ -161,7 +161,7 @@ func NewDictionaryFrozen(idBits int, frozen *Frozen) *Dictionary {
 //
 //zipline:noalloc
 func (d *Dictionary) Reset() {
-	d.index.reset()
+	d.index.Reset()
 	d.arena = d.arena[:0]
 	d.links = d.links[:0]
 	d.head, d.tail = slotNone, slotNone
@@ -192,13 +192,13 @@ func (d *Dictionary) Lookup(basis *bitvec.Vector) (uint32, bool) {
 		return 0, false
 	}
 	b := basis.Bytes()
-	h := d.index.hash(b)
+	h := d.index.Hash(b)
 	if d.frozen != nil {
-		if id, ok := d.frozen.index.find(h, b, d.frozen.arena, d.stride); ok {
+		if id, ok := d.frozen.index.Find(h, b, d.frozen.arena, d.stride); ok {
 			return uint32(id), true
 		}
 	}
-	s, ok := d.index.find(h, b, d.arena, d.stride)
+	s, ok := d.index.Find(h, b, d.arena, d.stride)
 	if !ok {
 		return 0, false
 	}
@@ -253,14 +253,14 @@ func (d *Dictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitvec.Ve
 		panic(fmt.Sprintf("gd: %d-bit basis inserted into a dictionary of %d-bit bases", basis.Len(), d.nbits))
 	}
 	b := basis.Bytes()
-	h := d.index.hash(b)
+	h := d.index.Hash(b)
 	if d.frozen != nil {
 		// A frozen basis is already permanently mapped.
-		if fid, ok := d.frozen.index.find(h, b, d.frozen.arena, d.stride); ok {
+		if fid, ok := d.frozen.index.Find(h, b, d.frozen.arena, d.stride); ok {
 			return uint32(fid), nil
 		}
 	}
-	if s, ok := d.index.find(h, b, d.arena, d.stride); ok {
+	if s, ok := d.index.Find(h, b, d.arena, d.stride); ok {
 		d.touch(s)
 		return d.base + uint32(s), nil
 	}
@@ -282,12 +282,12 @@ func (d *Dictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitvec.Ve
 		d.evicted.Reset(d.nbits)
 		copy(d.evicted.Bytes(), old)
 		evicted = &d.evicted
-		d.index.remove(d.index.hash(old), s)
+		d.index.Remove(d.index.Hash(old), s)
 		d.unlink(s)
 		d.live--
 		copy(old, b)
 	}
-	d.index.insert(h, s)
+	d.index.Insert(h, s)
 	d.pushFront(s)
 	d.live++
 	return d.base + uint32(s), evicted
@@ -301,12 +301,12 @@ func (d *Dictionary) Remove(basis *bitvec.Vector) bool {
 		return false
 	}
 	b := basis.Bytes()
-	h := d.index.hash(b)
-	s, ok := d.index.find(h, b, d.arena, d.stride)
+	h := d.index.Hash(b)
+	s, ok := d.index.Find(h, b, d.arena, d.stride)
 	if !ok {
 		return false
 	}
-	d.index.remove(h, s)
+	d.index.Remove(h, s)
 	d.unlink(s)
 	d.links[s].prev = slotFree
 	d.live--
@@ -366,103 +366,4 @@ func (d *Dictionary) pushFront(s int32) {
 		d.links[d.head].prev = s
 	}
 	d.head = s
-}
-
-// basisIndex files slot numbers under a hash of their basis bytes: an
-// open-addressing table with linear probing and backward-shift
-// deletion, so removals leave no tombstones. Each word packs the low
-// 32 bits of the hash above slot+1, and zero marks an empty word. The
-// hash only decides where a slot is filed, never which slot a basis
-// gets, so identifiers do not depend on the seed; the seed is random,
-// so a hostile stream cannot aim its bases at one probe chain.
-type basisIndex struct {
-	seed maphash.Seed
-	tab  []uint64
-	n    int
-}
-
-// minIndexSize is the table's first size; it doubles whenever it
-// would pass three quarters full.
-const minIndexSize = 16
-
-func (ix *basisIndex) hash(b []byte) uint32 { return uint32(maphash.Bytes(ix.seed, b)) }
-
-// find returns the slot filed under h whose basis, read from arena at
-// stride bytes per slot, equals b.
-func (ix *basisIndex) find(h uint32, b, arena []byte, stride int) (int32, bool) {
-	if ix.n == 0 {
-		return 0, false
-	}
-	mask := uint32(len(ix.tab) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := ix.tab[i]
-		if e == 0 {
-			return 0, false
-		}
-		if uint32(e>>32) == h {
-			s := int32(uint32(e)) - 1
-			off := int(s) * stride
-			if bytes.Equal(arena[off:off+stride], b) {
-				return s, true
-			}
-		}
-	}
-}
-
-// insert files slot s under h; the slot must not be filed already.
-func (ix *basisIndex) insert(h uint32, s int32) {
-	if 4*(ix.n+1) > 3*len(ix.tab) {
-		ix.grow()
-	}
-	ix.put(uint64(h)<<32 | uint64(s+1))
-	ix.n++
-}
-
-func (ix *basisIndex) put(e uint64) {
-	mask := uint32(len(ix.tab) - 1)
-	i := uint32(e>>32) & mask
-	for ix.tab[i] != 0 {
-		i = (i + 1) & mask
-	}
-	ix.tab[i] = e
-}
-
-func (ix *basisIndex) grow() {
-	old := ix.tab
-	ix.tab = make([]uint64, max(minIndexSize, 2*len(old)))
-	for _, e := range old {
-		if e != 0 {
-			ix.put(e)
-		}
-	}
-}
-
-// remove unfiles slot s, filed under h, shifting later members of its
-// probe run back so every lookup still finds them.
-func (ix *basisIndex) remove(h uint32, s int32) {
-	mask := uint32(len(ix.tab) - 1)
-	e := uint64(h)<<32 | uint64(s+1)
-	i := h & mask
-	for ix.tab[i] != e {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; ix.tab[j] != 0; j = (j + 1) & mask {
-		// The word at j may move back to the hole at i only if its
-		// home position is not in (i, j].
-		home := uint32(ix.tab[j]>>32) & mask
-		if (j-home)&mask >= (j-i)&mask {
-			ix.tab[i] = ix.tab[j]
-			i = j
-		}
-	}
-	ix.tab[i] = 0
-	ix.n--
-}
-
-// reset empties the table, keeping its size.
-func (ix *basisIndex) reset() {
-	if ix.n > 0 {
-		clear(ix.tab)
-		ix.n = 0
-	}
 }

@@ -25,6 +25,9 @@ var DeterminismPackages = map[string]bool{
 	// ports, identifier ranges, and ultimately whole reports.
 	"zipline/internal/topo":      true,
 	"zipline/internal/placement": true,
+	// Table state drives the controller's victim choice and the
+	// report bytes: table walks must stay in slot order.
+	"zipline/internal/tofino": true,
 }
 
 // Determinism bans nondeterminism sources inside the simulation and

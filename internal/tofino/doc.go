@@ -7,7 +7,14 @@
 //     rate";
 //   - exact-match tables whose entries are installed and removed only
 //     by the control plane, with per-entry idle timeouts (TTLs) that
-//     notify the control plane, as TNA provides;
+//     notify the control plane, as TNA provides. Keys and action data
+//     have the fixed widths the table declares — KeyBits and
+//     ActionBits size both the stored bytes and the SRAM model — and
+//     Install rejects any other width, as the hardware does. Entries
+//     live in flat byte arenas with a hash index of slot numbers, so
+//     a table holds no pointers and a write allocates nothing once
+//     the table has grown; a data-plane match returns the action data
+//     in place;
 //   - digests, the data-plane→control-plane message channel used to
 //     report unknown bases;
 //   - registers and counters;

@@ -185,6 +185,7 @@ func (p *Pipeline) Counter(name string) uint64 {
 // Counters returns a copy of all counters.
 func (p *Pipeline) Counters() map[string]uint64 {
 	out := make(map[string]uint64, len(p.counterIdx))
+	//ziplint:allow determinism map-to-map copy is iteration-order-insensitive
 	for name, i := range p.counterIdx {
 		out[name] = p.counters[i]
 	}
@@ -302,17 +303,13 @@ func (c *Ctx) checkApply(h TableHandle) *Table {
 	return c.p.tables[h.idx]
 }
 
-// Apply looks the key up in a table, at most once per pass.
-func (c *Ctx) Apply(h TableHandle, key string) (any, bool) {
-	return c.checkApply(h).lookup(key, c.now)
-}
-
-// ApplyBytes is Apply with a byte-slice key: the data-plane match on
-// a header field. It allocates nothing (the map lookup uses the
-// compiler's string-conversion elision).
+// ApplyBytes matches a key — a header field — in a table, at most
+// once per pass. On a hit it returns the entry's action data in place:
+// the slice views the table, must not be modified, and is valid until
+// the control plane next writes the table.
 //
 //zipline:noalloc
-func (c *Ctx) ApplyBytes(h TableHandle, key []byte) (any, bool) {
+func (c *Ctx) ApplyBytes(h TableHandle, key []byte) ([]byte, bool) {
 	return c.checkApply(h).lookupBytes(key, c.now)
 }
 

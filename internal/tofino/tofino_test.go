@@ -36,15 +36,15 @@ func (p *echoProg) Declare(a *Alloc) error {
 }
 
 func (p *echoProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit {
-	key := string(frame[:4])
-	if _, ok := ctx.Apply(p.tbl, key); ok {
+	key := frame[:4]
+	if _, ok := ctx.ApplyBytes(p.tbl, key); ok {
 		ctx.Count(p.hits, 1)
 	} else {
 		ctx.Count(p.misses, 1)
 		ctx.Digest("unknown", frame[:4])
 	}
 	if p.applyTwice {
-		ctx.Apply(p.tbl, key)
+		ctx.ApplyBytes(p.tbl, key)
 	}
 	ctx.WriteReg(p.reg, 0, ctx.ReadReg(p.reg, 0)+1)
 	return append(out, Emit{Port: ingress ^ 1, Frame: frame})
@@ -80,7 +80,7 @@ func TestPipelineBasicFlow(t *testing.T) {
 	if !ok {
 		t.Fatal("table not found")
 	}
-	if err := tbl.Install(string(frame[:4]), uint16(7), 150); err != nil {
+	if err := tbl.Install(frame[:4], []byte{0, 7}, 150); err != nil {
 		t.Fatal(err)
 	}
 	p.Process(200, frame, 3)
@@ -109,28 +109,34 @@ func TestDigestDataIsCopied(t *testing.T) {
 	}
 }
 
+// key1 returns a one-byte table key.
+func key1(c byte) []byte { return []byte{c} }
+
 func TestTableCapacityAndDelete(t *testing.T) {
-	tbl, err := newTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 2})
+	tbl, err := newTable(TableSpec{Name: "t", KeyBits: 8, ActionBits: 8, Capacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Install("a", 1, 0); err != nil {
+	if err := tbl.Install(key1('a'), []byte{1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Install("b", 2, 0); err != nil {
+	if err := tbl.Install(key1('b'), []byte{2}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Install("c", 3, 0); err == nil {
+	if err := tbl.Install(key1('c'), []byte{3}, 0); err == nil {
 		t.Fatal("over-capacity install accepted")
 	}
 	// Replacing an existing key is fine at capacity.
-	if err := tbl.Install("a", 9, 0); err != nil {
+	if err := tbl.Install(key1('a'), []byte{9}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !tbl.Delete("a") || tbl.Delete("a") {
+	if act, ok := tbl.Get(key1('a')); !ok || act[0] != 9 {
+		t.Fatalf("replaced entry = %v,%v", act, ok)
+	}
+	if !tbl.Delete(key1('a')) || tbl.Delete(key1('a')) {
 		t.Fatal("delete semantics broken")
 	}
-	if err := tbl.Install("c", 3, 0); err != nil {
+	if err := tbl.Install(key1('c'), []byte{3}, 0); err != nil {
 		t.Fatalf("install after delete: %v", err)
 	}
 	if tbl.Len() != 2 {
@@ -143,10 +149,10 @@ func TestTableIdleTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.Install("a", 1, 0)
-	tbl.Install("b", 2, 0)
+	tbl.Install(key1('a'), nil, 0)
+	tbl.Install(key1('b'), nil, 0)
 	// Data-plane hit on a at t=50 refreshes its timer.
-	if _, ok := tbl.lookup("a", 50); !ok {
+	if _, ok := tbl.lookupBytes(key1('a'), 50); !ok {
 		t.Fatal("lookup miss")
 	}
 	exp := tbl.ExpiredKeys(120)
@@ -154,18 +160,18 @@ func TestTableIdleTimeout(t *testing.T) {
 		t.Fatalf("expired = %v, want [b]", exp)
 	}
 	// Control-plane Get must not refresh.
-	tbl.Get("b")
+	tbl.Get(key1('b'))
 	if got := tbl.ExpiredKeys(120); len(got) != 1 {
 		t.Fatalf("Get refreshed idle timer: %v", got)
 	}
-	if idle, ok := tbl.IdleTime("a", 120); !ok || idle != 70 {
+	if idle, ok := tbl.IdleTime(key1('a'), 120); !ok || idle != 70 {
 		t.Fatalf("IdleTime = %d,%v", idle, ok)
 	}
 }
 
 func TestTableNoAgingWhenDisabled(t *testing.T) {
 	tbl, _ := newTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 4})
-	tbl.Install("a", 1, 0)
+	tbl.Install(key1('a'), nil, 0)
 	if exp := tbl.ExpiredKeys(1 << 60); exp != nil {
 		t.Fatalf("expired = %v with aging disabled", exp)
 	}
@@ -296,18 +302,18 @@ func TestPipelineAccessors(t *testing.T) {
 	if tbl.Name() != "map" || tbl.Capacity() != 4 {
 		t.Fatalf("table accessors: %s/%d", tbl.Name(), tbl.Capacity())
 	}
-	if _, ok := tbl.Get("nope"); ok {
+	if _, ok := tbl.Get([]byte("nope")); ok {
 		t.Fatal("Get hit on missing key")
 	}
 	if _, _, ok := tbl.LeastRecentlyHit(); ok {
 		t.Fatal("LRU hit on empty table")
 	}
-	tbl.Install("aaaa", 1, 10)
-	tbl.Install("bbbb", 2, 20)
+	tbl.Install([]byte("aaaa"), []byte{0, 1}, 10)
+	tbl.Install([]byte("bbbb"), []byte{0, 2}, 20)
 	if k, at, ok := tbl.LeastRecentlyHit(); !ok || k != "aaaa" || at != 10 {
 		t.Fatalf("LRU = %q@%d,%v", k, at, ok)
 	}
-	if _, ok := tbl.IdleTime("nope", 30); ok {
+	if _, ok := tbl.IdleTime([]byte("nope"), 30); ok {
 		t.Fatal("IdleTime hit on missing key")
 	}
 }
@@ -333,7 +339,7 @@ func TestCtxNowAndUndeclaredPanics(t *testing.T) {
 				t.Error("undeclared table accepted")
 			}
 		}()
-		(&Ctx{p: p}).Apply(TableHandle{name: "ghost"}, "k")
+		(&Ctx{p: p}).ApplyBytes(TableHandle{name: "ghost"}, []byte("k"))
 	}()
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"zipline/internal/bitvec"
 	"zipline/internal/packet"
 	"zipline/internal/tofino"
 	. "zipline/internal/zswitch"
@@ -125,4 +126,49 @@ func clonedEmit(t *testing.T, pl *tofino.Pipeline, frame []byte) []byte {
 	}
 	pl.DrainDigests()
 	return emits[0].Frame
+}
+
+// TestInstallSteadyStateZeroAllocs: once a table's storage has grown,
+// the control-plane writes every learn and recycle sends — replacing
+// an entry, and a Delete followed by a fresh key's Install into the
+// freed slot — touch no allocator, on both dictionaries.
+func TestInstallSteadyStateZeroAllocs(t *testing.T) {
+	prog, enc := loadRole(t, Config{}, RoleEncode)
+	_, dec := loadRole(t, Config{}, RoleDecode)
+	var bases [2]*bitvec.Vector
+	for i := range bases {
+		_, payload, _ := packet.ParseHeader(testRawFrame(prog, int64(20+i)))
+		s, err := prog.Codec().SplitChunk(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[i] = s.Basis
+	}
+	now := int64(0)
+	install := func(id uint32, b *bitvec.Vector) {
+		now++
+		if err := InstallIDToBasis(dec, id, b, now); err != nil {
+			t.Fatal(err)
+		}
+		if err := InstallBasisToID(enc, b, id, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install(1, bases[1]) // warmup: the tables' first slot and index
+
+	if n := testing.AllocsPerRun(200, func() { install(1, bases[1]) }); n != 0 {
+		t.Errorf("replacing an entry allocates %.1f, want 0", n)
+	}
+	id := uint32(1)
+	cycle := func() {
+		old := bases[id&1]
+		if !DeleteBasisToID(enc, old) || !DeleteIDToBasis(dec, id) {
+			t.Fatal("delete missed an installed entry")
+		}
+		id++
+		install(id, bases[id&1])
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("delete and re-install allocates %.1f, want 0", n)
+	}
 }

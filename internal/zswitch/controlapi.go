@@ -8,13 +8,6 @@ import (
 	"zipline/internal/tofino"
 )
 
-// basisAction is the decoder table's action data: the raw bytes of
-// the basis to substitute for the matched identifier, ready for
-// Codec.MergeChunkBytes without an intermediate bit vector.
-type basisAction struct {
-	b []byte
-}
-
 // InstallBasisToID adds an encoder dictionary entry (basis → id) to a
 // loaded pipeline. Control-plane API; now stamps the entry's idle
 // timer.
@@ -23,7 +16,8 @@ func InstallBasisToID(pl *tofino.Pipeline, basis *bitvec.Vector, id uint32, now 
 	if !ok {
 		return fmt.Errorf("zswitch: pipeline has no %s table", TableBasisToID)
 	}
-	return t.Install(BasisKey(basis), id, now)
+	var act [4]byte
+	return t.Install(basis.Bytes(), putID(&act, t.ActionBytes(), id), now)
 }
 
 // DeleteBasisToID removes an encoder dictionary entry.
@@ -32,7 +26,7 @@ func DeleteBasisToID(pl *tofino.Pipeline, basis *bitvec.Vector) bool {
 	if !ok {
 		return false
 	}
-	return t.Delete(BasisKey(basis))
+	return t.Delete(basis.Bytes())
 }
 
 // InstallIDToBasis adds a decoder dictionary entry (id → basis).
@@ -44,7 +38,8 @@ func InstallIDToBasis(pl *tofino.Pipeline, id uint32, basis *bitvec.Vector, now 
 	if !ok {
 		return fmt.Errorf("zswitch: pipeline has no %s table", TableIDToBasis)
 	}
-	return t.Install(IDKey(id), basisAction{b: append([]byte(nil), basis.Bytes()...)}, now)
+	var key [4]byte
+	return t.Install(putID(&key, t.KeyBytes(), id), basis.Bytes(), now)
 }
 
 // DeleteIDToBasis removes a decoder dictionary entry.
@@ -53,7 +48,8 @@ func DeleteIDToBasis(pl *tofino.Pipeline, id uint32) bool {
 	if !ok {
 		return false
 	}
-	return t.Delete(IDKey(id))
+	var key [4]byte
+	return t.Delete(putID(&key, t.KeyBytes(), id))
 }
 
 // loadedProgram extracts the ZipLine program from a loaded pipeline.

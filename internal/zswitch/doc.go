@@ -21,10 +21,14 @@
 //
 // The per-packet path is allocation-free in steady state: the basis
 // buffer and the output frame live in program-owned scratch that each
-// Process call reuses, table lookups match on raw header bytes, and
-// counters resolve to dense indices at Declare time — mirroring how
-// the hardware pipeline touches no allocator at line rate. The
-// consequence, as on hardware, is that emitted frames are valid only
-// until the next packet enters the same program; callers that keep a
-// frame longer must copy it (tofino.Pipeline.Process does).
+// Process call reuses, counters resolve to dense indices at Declare
+// time, and table lookups match on raw header bytes and return the
+// action data in place — the identifier big-endian in ceil(IDBits/8)
+// bytes, or the basis bytes the decoder merges from. Control-plane
+// installs copy bytes into the tables and allocate nothing either.
+// This mirrors how the hardware pipeline touches no allocator at line
+// rate. The consequence, as on hardware, is that emitted frames are
+// valid only until the next packet enters the same program; callers
+// that keep a frame longer must copy it (tofino.Pipeline.Process
+// does).
 package zswitch

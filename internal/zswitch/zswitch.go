@@ -42,7 +42,9 @@ const (
 	// padding) — exactly the bits the hardware matches on.
 	TableBasisToID = "basis_to_id"
 	// TableIDToBasis is the decoder dictionary (identifier → basis).
-	// Keys are the 4-byte big-endian identifier (IDKey).
+	// Keys are the identifier big-endian in ceil(IDBits/8) bytes, the
+	// width of TableBasisToID's action data; the action data is the
+	// basis bytes.
 	TableIDToBasis = "id_to_basis"
 	// DigestNewBasis reports a basis missing from the encoder
 	// dictionary.
@@ -151,10 +153,10 @@ type counterSet struct {
 // Process calls (the model of the pipeline's PHV and header buffers:
 // fixed resources, no allocator).
 type scratch struct {
-	basis  []byte // SplitChunkBytes output / packed type-2 parse buffer
-	frame  []byte // output frame arena, one frame per pass
-	digest []byte // epoch-tagged digest payload (fault-era digests only)
-	idKey  [4]byte
+	basis  []byte  // SplitChunkBytes output / packed type-2 parse buffer
+	frame  []byte  // output frame arena, one frame per pass
+	digest []byte  // epoch-tagged digest payload (fault-era digests only)
+	idKey  [4]byte // id_to_basis key buffer (putID)
 }
 
 // Program is the ZipLine data plane program. Load it into a
@@ -447,7 +449,7 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 	}
 
 	if act, hit := ctx.ApplyBytes(p.basisToID, basis); hit {
-		id := act.(uint32)
+		id := getID(act)
 		buf := p.frameScratch(packet.HeaderLen + p.fmt.Type3Len() + len(tail))
 		buf = append(buf, frame[:12]...)
 		buf = binary.BigEndian.AppendUint16(buf, packet.EtherTypeCompressed)
@@ -517,15 +519,15 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		if err != nil {
 			return out
 		}
-		binary.BigEndian.PutUint32(p.scr.idKey[:], c.ID)
-		act, hit := ctx.ApplyBytes(p.idToBasis, p.scr.idKey[:])
+		key := putID(&p.scr.idKey, idBytes(p.cfg.IDBits), c.ID)
+		act, hit := ctx.ApplyBytes(p.idToBasis, key)
 		if !hit {
 			// The two-phase install protocol makes this impossible
 			// in steady state; count and drop if it ever happens.
 			ctx.Count(p.ctr.decodeMiss, 1)
 			return out
 		}
-		basis = act.(basisAction).b
+		basis = act
 		dev, extra = c.Deviation, c.Extra
 		cnt = p.ctr.type3ToRaw
 	default:
@@ -550,10 +552,28 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 // TableBasisToID: the basis bytes themselves, no framing.
 func BasisKey(basis *bitvec.Vector) string { return string(basis.Bytes()) }
 
-// IDKey renders a dictionary identifier as the table key string used
-// by TableIDToBasis.
-func IDKey(id uint32) string {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], id)
-	return string(b[:])
+// idBytes is the byte width of an identifier of idBits bits: the
+// action data of TableBasisToID and the key of TableIDToBasis.
+func idBytes(idBits int) int { return (idBits + 7) / 8 }
+
+// putID writes id big-endian into the first width bytes of buf and
+// returns them: a dictionary-table key or action. A width beyond buf
+// (a foreign table's) yields four bytes, which that table's width
+// check rejects.
+func putID(buf *[4]byte, width int, id uint32) []byte {
+	b := buf[:min(width, len(buf))]
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = byte(id)
+		id >>= 8
+	}
+	return b
+}
+
+// getID reads a big-endian identifier written by putID.
+func getID(b []byte) uint32 {
+	var id uint32
+	for _, c := range b {
+		id = id<<8 | uint32(c)
+	}
+	return id
 }
