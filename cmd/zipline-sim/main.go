@@ -13,6 +13,7 @@
 //	zipline-sim -preset chain3 -trace sensor.pcap        # replay a tracegen capture
 //	zipline-sim -preset chain3 -control-loss 0.2 -restart dec@10+2   # inject faults
 //	zipline-sim -preset chain3 -dump-spec   > my-scenario.json
+//	zipline-sim -preset fat-tree-churn -cpuprofile cpu.out -memprofile mem.out
 //	zipline-sim -list
 //	zipline-sim sweep -spec sweep.json -workers 4 -out matrix.json
 //
@@ -63,6 +64,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -95,6 +98,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
 	dumpSpec := fs.Bool("dump-spec", false, "print the selected scenario's spec as JSON and exit")
 	list := fs.Bool("list", false, "list built-in scenarios and exit")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the scenario build and run to `file`")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to `file`")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -193,12 +198,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	var cpuFile *os.File
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(stderr, "zipline-sim: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(stderr, "zipline-sim: %v\n", err)
+			return 1
+		}
+		cpuFile = f
+	}
 	sc, err := scenario.Build(spec)
+	var report scenario.Report
+	if err == nil {
+		report = sc.Run()
+	}
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if cerr := cpuFile.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "zipline-sim: %v\n", err)
 		return 1
 	}
-	report := sc.Run()
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			fmt.Fprintf(stderr, "zipline-sim: %v\n", err)
+			return 1
+		}
+	}
 
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
@@ -211,6 +245,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	report.WriteText(stdout)
 	return 0
+}
+
+// writeHeapProfile writes the live heap, after a collection, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // materialise the final live heap
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // parseTopo parses the -topo flag: kind[:key=val,...], e.g.

@@ -93,3 +93,30 @@ func TestListAndBadPreset(t *testing.T) {
 		t.Fatalf("bad preset exit = %d, want 2", code)
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty
+// profiles next to the normal report.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-preset", "single", "-json", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	if !json.Valid(out.Bytes()) {
+		t.Fatalf("report is not JSON: %s", out.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Fatalf("%s is empty", filepath.Base(path))
+		}
+	}
+	// An unwritable profile path is an error, not a silent skip.
+	if code := run([]string{"-preset", "single", "-cpuprofile", filepath.Join(dir, "missing", "cpu.out")}, &out, &errb); code != 1 {
+		t.Fatalf("unwritable -cpuprofile: exit %d, want 1", code)
+	}
+}

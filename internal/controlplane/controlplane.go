@@ -147,7 +147,6 @@ type mapping struct {
 // the multi-switch deployment of §8's network-wide discussion.
 type Controller struct {
 	sim  *netsim.Sim
-	lane netsim.Lane
 	cfg  Config
 	encs []*tofino.Pipeline
 	decs []*tofino.Pipeline
@@ -203,7 +202,6 @@ func NewMulti(sim *netsim.Sim, cfg Config, encs, decs []*tofino.Pipeline, basisB
 	}
 	c := &Controller{
 		sim:         sim,
-		lane:        sim.NewLane(),
 		cfg:         cfg,
 		encs:        encs,
 		decs:        decs,
@@ -229,7 +227,7 @@ func NewMulti(sim *netsim.Sim, cfg Config, encs, decs []*tofino.Pipeline, basisB
 		c.free = append(c.free, uint32(id))
 	}
 	if cfg.SweepIntervalNs > 0 {
-		sim.AfterLane(c.lane, cfg.SweepIntervalNs, c.sweep)
+		sim.After(cfg.SweepIntervalNs, c.sweep)
 	}
 	return c, nil
 }
@@ -272,7 +270,7 @@ func (c *Controller) Bind(sw *netsim.Switch) {
 				c.sendDigest(pl, data, emitted)
 				continue
 			}
-			c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.DigestLatencyNs, c.cfg.JitterFrac), func() {
+			c.sim.After(c.sim.Jitter(c.cfg.DigestLatencyNs, c.cfg.JitterFrac), func() {
 				c.handleDigest(data, emitted)
 			})
 		}
@@ -347,7 +345,7 @@ func (c *Controller) acceptDigest(data []byte, emitted netsim.Time) {
 		return
 	}
 	c.inflight[key] = emitted
-	c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.DecisionNs, c.cfg.JitterFrac), func() {
+	c.sim.After(c.sim.Jitter(c.cfg.DecisionNs, c.cfg.JitterFrac), func() {
 		if c.armed() {
 			c.armedAllocate(key, basis)
 			return
@@ -373,7 +371,7 @@ func (c *Controller) allocateAndInstall(key string, basis *bitvec.Vector) {
 	// after a write interval.
 	victimKey := c.pickVictim()
 	if victimKey == "" {
-		c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 			c.allocateAndInstall(key, basis)
 		})
 		return
@@ -382,7 +380,7 @@ func (c *Controller) allocateAndInstall(key string, basis *bitvec.Vector) {
 	c.recycling[victimKey] = true
 	// Phase 0: stop every encoder from using the identifier (one
 	// batched write).
-	c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+	c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 		basisVictim := c.byKey[victimKey].basis
 		for _, enc := range c.encs {
 			zswitch.DeleteBasisToID(enc, basisVictim)
@@ -444,14 +442,14 @@ func (c *Controller) idleAcrossEncoders(key []byte) (int64, bool) {
 func (c *Controller) installDecoderThenEncoder(key string, basis *bitvec.Vector, id uint32) {
 	// Phase 1: every decoder first, so that compressed packets can
 	// always be uncompressed (paper §5) — one batched BfRt write.
-	c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+	c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 		for _, dec := range c.decs {
 			if err := zswitch.InstallIDToBasis(dec, id, basis, c.sim.Now()); err != nil {
 				panic(fmt.Sprintf("controlplane: decoder install: %v", err))
 			}
 		}
 		// Phase 2: the encoder mappings go live.
-		c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 			for _, enc := range c.encs {
 				if err := zswitch.InstallBasisToID(enc, basis, id, c.sim.Now()); err != nil {
 					panic(fmt.Sprintf("controlplane: encoder install: %v", err))
@@ -479,7 +477,7 @@ func (c *Controller) sweep() {
 		}
 	}
 	if len(expired) == 0 {
-		c.sim.AfterLane(c.lane, c.cfg.SweepIntervalNs, c.sweep)
+		c.sim.After(c.cfg.SweepIntervalNs, c.sweep)
 		return
 	}
 	// A key only expires when every encoder holding it reports it
@@ -510,13 +508,13 @@ func (c *Controller) sweep() {
 		// One write per tier: encoder entries out first, then the
 		// decoder entries, then the identifier returns to the pool.
 		keyCopy, idCopy := key, m.id
-		c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 			for _, enc := range c.encs {
 				zswitch.DeleteBasisToID(enc, basis)
 			}
 			delete(c.byKey, keyCopy)
 			delete(c.recycling, keyCopy)
-			c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+			c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 				for _, dec := range c.decs {
 					zswitch.DeleteIDToBasis(dec, idCopy)
 				}
@@ -525,5 +523,5 @@ func (c *Controller) sweep() {
 			})
 		})
 	}
-	c.sim.AfterLane(c.lane, c.cfg.SweepIntervalNs, c.sweep)
+	c.sim.After(c.cfg.SweepIntervalNs, c.sweep)
 }

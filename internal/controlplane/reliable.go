@@ -69,7 +69,7 @@ func (c *Controller) send(m *relMsg) {
 		c.timeout(m) // lost in flight; the sender times out
 		return
 	}
-	c.sim.AfterLane(c.lane, c.sim.Jitter(m.latency, c.cfg.JitterFrac), func() {
+	c.sim.After(c.sim.Jitter(m.latency, c.cfg.JitterFrac), func() {
 		if m.target != nil && m.target.Down() {
 			c.timeout(m) // delivered into a dead switch: no ack
 			return
@@ -100,7 +100,7 @@ func (c *Controller) timeout(m *relMsg) {
 	}
 	wait := netsim.Backoff(c.cfg.RetransmitTimeoutNs, m.attempt)
 	m.attempt++
-	c.sim.AfterLane(c.lane, wait, func() {
+	c.sim.After(wait, func() {
 		c.stats.Retransmits++
 		c.send(m)
 	})
@@ -152,7 +152,7 @@ func (c *Controller) armedAllocate(key string, basis *bitvec.Vector) {
 	}
 	victimKey := c.pickVictim()
 	if victimKey == "" {
-		c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 			c.armedAllocate(key, basis)
 		})
 		return
@@ -337,7 +337,7 @@ func (c *Controller) resync(pl *tofino.Pipeline, downSince, upAt netsim.Time, en
 		if delay < drainMarginNs {
 			delay = drainMarginNs
 		}
-		c.sim.AfterLane(c.lane, delay, func() {
+		c.sim.After(delay, func() {
 			if enable != nil {
 				enable()
 			}

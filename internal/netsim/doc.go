@@ -19,4 +19,13 @@
 //     rate" (Figures 4 and 5);
 //   - hooks that hand digests to a control-plane agent after a
 //     modelled delivery delay (the learning-delay experiment).
+//
+// The engine is one event queue: a radix heap of compact (time, slot)
+// keys over a slab of payloads, which suits a clock that never runs
+// backwards. Events run in (time, scheduling order), a total order, so
+// a seed fixes the whole run. The per-frame steps — link arrival,
+// switch traversal, host receive — queue a typed (handler, frame,
+// port) record rather than a closure, so a warm simulator forwards
+// frames without allocating; At and After take closures for
+// everything else (control plane, fault schedule, traffic generators).
 package netsim

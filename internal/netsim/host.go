@@ -68,10 +68,9 @@ type RxStats struct {
 
 // Host is a testbed server: traffic generator and sink.
 type Host struct {
-	sim  *Sim
-	lane Lane
-	cfg  HostConfig
-	nic  *Endpoint
+	sim *Sim
+	cfg HostConfig
+	nic *Endpoint
 
 	// OnReceive, when set, observes every delivered frame.
 	OnReceive func(frame []byte, at Time)
@@ -79,11 +78,9 @@ type Host struct {
 	rx RxStats
 }
 
-// NewHost builds a host and attaches it to its NIC endpoint. Each
-// host gets its own event lane: generator and receive events shard
-// per host and merge deterministically.
+// NewHost builds a host and attaches it to its NIC endpoint.
 func NewHost(sim *Sim, cfg HostConfig, nic *Endpoint) *Host {
-	h := &Host{sim: sim, lane: sim.NewLane(), cfg: cfg.withDefaults(), nic: nic}
+	h := &Host{sim: sim, cfg: cfg.withDefaults(), nic: nic}
 	h.resetRxMarks()
 	nic.SetReceiver(h.receive)
 	return h
@@ -115,33 +112,37 @@ func (h *Host) receive(frame []byte, at Time) {
 	// Host-side receive cost: the frame is visible to the
 	// application a little after the wire delivered it.
 	delay := h.sim.Jitter(h.cfg.RxLatencyNs, h.cfg.LatencyJitterFrac)
-	h.sim.AfterLane(h.lane, delay, func() {
-		now := h.sim.Now()
-		h.rx.Frames++
-		h.rx.FrameBytes += uint64(len(frame))
-		if h.rx.FirstFrame < 0 {
-			h.rx.FirstFrame = now
+	h.sim.schedule(h.sim.after(delay), payload{h: h, frame: frame})
+}
+
+// fire is the typed receive event: the frame reaches the application
+// and the receive statistics.
+func (h *Host) fire(frame []byte, _ int) {
+	now := h.sim.Now()
+	h.rx.Frames++
+	h.rx.FrameBytes += uint64(len(frame))
+	if h.rx.FirstFrame < 0 {
+		h.rx.FirstFrame = now
+	}
+	h.rx.LastArrival = now
+	if hdr, payload, err := packet.ParseHeader(frame); err == nil {
+		h.rx.PayloadBytes += uint64(len(payload))
+		t := hdr.Type()
+		h.rx.TypeFrames[t]++
+		h.rx.TypePayload[t] += uint64(len(payload))
+		if h.rx.FirstArrival[t] < 0 {
+			h.rx.FirstArrival[t] = now
 		}
-		h.rx.LastArrival = now
-		if hdr, payload, err := packet.ParseHeader(frame); err == nil {
-			h.rx.PayloadBytes += uint64(len(payload))
-			t := hdr.Type()
-			h.rx.TypeFrames[t]++
-			h.rx.TypePayload[t] += uint64(len(payload))
-			if h.rx.FirstArrival[t] < 0 {
-				h.rx.FirstArrival[t] = now
-			}
-		}
-		if h.OnReceive != nil {
-			h.OnReceive(frame, now)
-		}
-	})
+	}
+	if h.OnReceive != nil {
+		h.OnReceive(frame, now)
+	}
 }
 
 // Send transmits one frame, paying the host TX cost first.
 func (h *Host) Send(frame []byte) {
 	delay := h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac)
-	h.sim.AfterLane(h.lane, delay, func() {
+	h.sim.After(delay, func() {
 		h.nic.Send(frame)
 	})
 }
@@ -183,13 +184,13 @@ func (h *Host) StreamPaced(start, stop Time, pps float64, next func(i uint64) []
 		if nextAt == h.sim.Now() {
 			nextAt++ // guarantee progress even with no pacing
 		}
-		h.sim.AtLane(h.lane, nextAt, tick)
+		h.sim.At(nextAt, tick)
 	}
-	h.sim.AtLane(h.lane, start, func() {
+	h.sim.At(start, func() {
 		// The first frame pays the host TX cost; subsequent frames
 		// stream from the NIC without re-paying it (the generator
 		// keeps the NIC fed, as raw_ethernet_bw does).
-		h.sim.AfterLane(h.lane, h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), tick)
+		h.sim.After(h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), tick)
 	})
 }
 
@@ -207,8 +208,10 @@ func (h *Host) StreamPaced(start, stop Time, pps float64, next func(i uint64) []
 // windows the flow like StreamPaced (0 = unbounded): no frame departs
 // at or after it.
 func (h *Host) StreamTimed(start, stop Time, offsetAt func(i uint64) (Time, bool), next func(i uint64) []byte) {
+	// One step and one send closure serve the whole flow, the way
+	// StreamPaced reuses tick: nothing is allocated per frame.
 	var i uint64
-	var step func()
+	var step, send func()
 	step = func() {
 		off, ok := offsetAt(i)
 		if !ok {
@@ -221,21 +224,22 @@ func (h *Host) StreamTimed(start, stop Time, offsetAt func(i uint64) (Time, bool
 		if wire := h.sim.Now() + h.nic.QueueDelay(); wire > sendAt {
 			sendAt = wire
 		}
-		h.sim.AtLane(h.lane, sendAt, func() {
-			if stop > 0 && h.sim.Now() >= stop {
-				return
-			}
-			frame := next(i)
-			if frame == nil {
-				return
-			}
-			i++
-			h.nic.Send(frame)
-			step()
-		})
+		h.sim.At(sendAt, send)
 	}
-	h.sim.AtLane(h.lane, start, func() {
+	send = func() {
+		if stop > 0 && h.sim.Now() >= stop {
+			return
+		}
+		frame := next(i)
+		if frame == nil {
+			return
+		}
+		i++
+		h.nic.Send(frame)
+		step()
+	}
+	h.sim.At(start, func() {
 		// Like StreamPaced, only the first frame pays the host TX cost.
-		h.sim.AfterLane(h.lane, h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), step)
+		h.sim.After(h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), step)
 	})
 }

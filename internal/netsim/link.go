@@ -102,7 +102,6 @@ func (c LinkConfig) withDefaults() LinkConfig {
 // flow control keeps the paper's measurements loss-free).
 type Endpoint struct {
 	sim  *Sim
-	lane Lane
 	cfg  LinkConfig
 	name string
 
@@ -123,14 +122,11 @@ type Endpoint struct {
 }
 
 // NewLink wires two endpoints together and returns them. Receivers
-// are attached afterwards with SetReceiver. Both directions share one
-// event lane: delivery events shard per link and merge
-// deterministically.
+// are attached afterwards with SetReceiver.
 func NewLink(sim *Sim, cfg LinkConfig, nameA, nameB string) (*Endpoint, *Endpoint) {
 	cfg = cfg.withDefaults()
-	lane := sim.NewLane()
-	a := &Endpoint{sim: sim, lane: lane, cfg: cfg, name: nameA}
-	b := &Endpoint{sim: sim, lane: lane, cfg: cfg, name: nameB}
+	a := &Endpoint{sim: sim, cfg: cfg, name: nameA}
+	b := &Endpoint{sim: sim, cfg: cfg, name: nameB}
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -201,20 +197,22 @@ func (e *Endpoint) Send(frame []byte) Time {
 	return done
 }
 
-// deliver schedules the frame's arrival at the peer. A peer that is
-// down at arrival time loses the frame — it was in flight when the
-// flap started.
+// deliver schedules the frame's arrival at the peer.
 func (e *Endpoint) deliver(frame []byte, arrive Time) {
-	peer := e.peer
-	e.sim.AtLane(e.lane, arrive, func() {
-		if peer.down {
-			peer.Stats.DownDrops++
-			return
-		}
-		if peer.recv != nil {
-			peer.recv(frame, arrive)
-		}
-	})
+	e.sim.schedule(arrive, payload{h: e.peer, frame: frame})
+}
+
+// fire is the typed arrival event: the frame reaches this endpoint's
+// receiver. An endpoint that is down at arrival time loses the frame
+// — it was in flight when the flap started.
+func (e *Endpoint) fire(frame []byte, _ int) {
+	if e.down {
+		e.Stats.DownDrops++
+		return
+	}
+	if e.recv != nil {
+		e.recv(frame, e.sim.Now())
+	}
 }
 
 // QueueDelay reports how long a frame sent now would wait before its

@@ -228,6 +228,30 @@ func TestStreamStopsOnNil(t *testing.T) {
 	}
 }
 
+// TestStreamTimedAllocsPerFlow: trace replay allocates per flow, not
+// per frame — a 1,000-frame flow costs what a 10-frame flow does.
+func TestStreamTimedAllocsPerFlow(t *testing.T) {
+	s := NewSim(1)
+	ha, _, hb := buildHostSwitchHost(t, s, noopProgram{}, HostConfig{})
+	frame := packet.Frame(packet.Header{EtherType: packet.EtherTypeRaw}, make([]byte, 50))
+	flow := func(n uint64) func() {
+		return func() {
+			offsetAt := func(i uint64) (Time, bool) { return Time(i) * Microsecond, i < n }
+			ha.StreamTimed(s.Now(), 0, offsetAt, func(uint64) []byte { return frame })
+			s.Run()
+		}
+	}
+	flow(1000)() // warm the queue
+	small := testing.AllocsPerRun(10, flow(10))
+	large := testing.AllocsPerRun(10, flow(1000))
+	if large != small {
+		t.Fatalf("a 1000-frame flow allocates %.0f times, a 10-frame flow %.0f", large, small)
+	}
+	if want := uint64(1000 + 11*10 + 11*1000); hb.Rx().Frames != want {
+		t.Fatalf("sink received %d frames, want %d", hb.Rx().Frames, want)
+	}
+}
+
 func TestSwitchDigestTap(t *testing.T) {
 	s := NewSim(1)
 	prog, err := zswitch.New(zswitch.Config{

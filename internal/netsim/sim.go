@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -16,114 +18,154 @@ const (
 	Second      Time = 1_000_000_000
 )
 
-type event struct {
-	at  Time
-	seq uint64 // tie-break: FIFO among simultaneous events
-	fn  func()
+// A handler runs one typed event. The per-frame steps — link arrival
+// (Endpoint), pipeline traversal (Switch) and host receive cost
+// (Host) — queue a (handler, frame, port) record instead of a fresh
+// closure, so the steady state allocates nothing per event.
+type handler interface {
+	fire(frame []byte, port int)
 }
 
-// eventLess is the simulator's total execution order: timestamp, then
-// global scheduling sequence. seq is unique across all lanes, so two
-// events never compare equal and the order is independent of how
-// events are sharded.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// thunk adapts an At/After callback to handler. A func value is one
+// pointer, so storing it in the interface does not allocate.
+type thunk func()
+
+func (f thunk) fire([]byte, int) { f() }
+
+// payload is what a queued event runs.
+type payload struct {
+	h     handler
+	frame []byte
+	port  int
+}
+
+// key is one queued event: its timestamp and the slab slot holding its
+// payload.
+type key struct {
+	at   Time
+	slot int32
+}
+
+// queue is the event queue: a radix heap of compact keys over a payload
+// slab with a free list. It pops in (time, push order): the simulator's
+// (at, seq) order, seq being the push count.
+//
+// Event times never run backwards — nothing is scheduled before now,
+// and now is the time of the last event run — so every queued key is
+// at or after last, the time at the front. A key whose time first
+// differs from last at bit b waits in buckets[b]; one at exactly last
+// waits in front. Pushing is an append. When front runs dry, the
+// lowest non-empty bucket is split around its earliest time, which
+// becomes the new last: each of its keys drops to a lower bucket or to
+// front, so a key moves at most once per bit and no compare ever sifts
+// a heap. Every bucket, front included, stays in push order without a
+// sequence number or a sort: pushes append, and a split moves keys, in
+// order, only into buckets that are empty (all lie below the lowest
+// non-empty one).
+type queue struct {
+	last     Time
+	n        int
+	front    []key // keys at last, in push order; front[head:] still queued
+	head     int
+	nonEmpty uint64 // bit b set while buckets[b] holds keys
+	buckets  [64][]key
+	slab     []payload
+	free     []int32
+}
+
+// push queues p at time at, which must not precede the last key popped.
+//
+//zipline:noalloc
+func (q *queue) push(at Time, p payload) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = p
+	} else {
+		slot = int32(len(q.slab))
+		//ziplint:allow noalloc amortised growth to the peak pending count; a warm queue reuses freed slots
+		q.slab = append(q.slab, p)
 	}
-	return a.seq < b.seq
+	q.n++
+	q.file(key{at: at, slot: slot})
 }
 
-// laneQueue is one shard of the event loop: a binary min-heap over
-// (at, seq). Sharding keeps each per-component heap small and hot in
-// cache, and the typed slice avoids container/heap's per-event
-// interface boxing (one allocation per scheduled event in the old
-// single-heap engine).
-type laneQueue struct {
-	events []event
-	// pos is this lane's index in the merge heap, -1 while the lane
-	// is empty (and so absent from the merge).
-	pos int
-}
-
-// push inserts an event and reports whether it became the lane's new
-// head (the merge heap must then re-rank the lane).
-func (q *laneQueue) push(e event) bool {
-	q.events = append(q.events, e)
-	i := len(q.events) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(&q.events[i], &q.events[p]) {
-			break
-		}
-		q.events[i], q.events[p] = q.events[p], q.events[i]
-		i = p
+// file appends k to front or to its bucket relative to last.
+func (q *queue) file(k key) {
+	x := uint64(k.at ^ q.last)
+	if x == 0 {
+		//ziplint:allow noalloc amortised growth to the peak pending count; a warm queue reuses its capacity
+		q.front = append(q.front, k)
+		return
 	}
-	return i == 0
+	b := bits.Len64(x) - 1
+	//ziplint:allow noalloc amortised growth to the peak pending count; a warm queue reuses its capacity
+	q.buckets[b] = append(q.buckets[b], k)
+	q.nonEmpty |= 1 << b
 }
 
-// pop removes and returns the lane's head event.
-func (q *laneQueue) pop() event {
-	e := q.events[0]
-	n := len(q.events) - 1
-	q.events[0] = q.events[n]
-	q.events[n].fn = nil // release the closure to the GC
-	q.events = q.events[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && eventLess(&q.events[l], &q.events[m]) {
-			m = l
-		}
-		if r < n && eventLess(&q.events[r], &q.events[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q.events[i], q.events[m] = q.events[m], q.events[i]
-		i = m
+// due reports whether the earliest queued key is at or before limit,
+// bringing it to front[head] if so. A key later than limit leaves the
+// queue untouched, so last never passes the simulator's clock.
+func (q *queue) due(limit Time) bool {
+	if q.head < len(q.front) {
+		return q.last <= limit
 	}
-	return e
+	if q.nonEmpty == 0 {
+		return false
+	}
+	b := bits.TrailingZeros64(q.nonEmpty)
+	src := q.buckets[b]
+	first := src[0].at
+	for _, k := range src[1:] {
+		first = min(first, k.at)
+	}
+	if first > limit {
+		return false
+	}
+	q.front, q.head = q.front[:0], 0
+	q.last = first
+	q.buckets[b] = src[:0]
+	q.nonEmpty &^= 1 << b
+	for _, k := range src {
+		q.file(k) // lands below b: k agrees with first above bit b
+	}
+	return true
 }
 
-// Lane identifies one shard of the event loop. Components that
-// schedule heavily (switches, links, hosts, the control plane) each
-// take a lane of their own; DefaultLane serves everything else.
-type Lane int
+// pop removes the earliest event and returns its time and payload.
+// The slab slot is zeroed before reuse, so the event's frame and
+// closure go to the GC.
+//
+//zipline:noalloc
+func (q *queue) pop() (Time, payload) {
+	q.due(math.MaxInt64)
+	k := q.front[q.head]
+	q.head++
+	q.n--
+	p := q.slab[k.slot]
+	q.slab[k.slot] = payload{}
+	//ziplint:allow noalloc amortised growth to the peak pending count; a warm queue reuses its capacity
+	q.free = append(q.free, k.slot)
+	return k.at, p
+}
 
-// DefaultLane is the lane At and After schedule on. Every simulator
-// has it from birth.
-const DefaultLane Lane = 0
-
-// Sim is the event loop, sharded into per-component lanes merged
-// deterministically by (timestamp, scheduling sequence). Not safe for
-// concurrent use: the simulation is single-threaded by design
-// (determinism). The execution order is identical to a single global
-// heap — lane assignment is a performance choice, never a semantic
-// one — so reports are byte-stable across engine versions for a
-// given seed.
+// Sim is the event loop: one queue executing events in (timestamp,
+// scheduling sequence) order. Not safe for concurrent use: the
+// simulation is single-threaded by design (determinism). The order is
+// a total order fixed by when events were scheduled, so reports are
+// byte-stable across engine versions for a given seed.
 type Sim struct {
-	now     Time
-	lanes   []*laneQueue
-	merge   []int // indexed heap of non-empty lanes, ranked by head event
-	pending int
-	seq     uint64
-	rng     *rand.Rand
+	now Time
+	q   queue
+	seq uint64
+	rng *rand.Rand
 }
 
 // NewSim creates a simulator whose jitter sources derive from seed.
 func NewSim(seed int64) *Sim {
-	s := &Sim{rng: rand.New(rand.NewSource(seed))}
-	s.lanes = append(s.lanes, &laneQueue{pos: -1}) // DefaultLane
-	return s
-}
-
-// NewLane adds an event-queue shard and returns its handle. Lanes are
-// cheap; one per simulated component keeps every heap small.
-func (s *Sim) NewLane() Lane {
-	s.lanes = append(s.lanes, &laneQueue{pos: -1})
-	return Lane(len(s.lanes) - 1)
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -132,36 +174,27 @@ func (s *Sim) Now() Time { return s.now }
 // Rand exposes the simulation's seeded random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// At schedules fn at absolute time t (not before now) on the default
-// lane.
-func (s *Sim) At(t Time, fn func()) { s.AtLane(DefaultLane, t, fn) }
+// At schedules fn at absolute time t (not before now).
+func (s *Sim) At(t Time, fn func()) { s.schedule(t, payload{h: thunk(fn)}) }
 
-// After schedules fn d nanoseconds from now on the default lane.
-func (s *Sim) After(d Time, fn func()) { s.AfterLane(DefaultLane, d, fn) }
+// After schedules fn d nanoseconds from now.
+func (s *Sim) After(d Time, fn func()) { s.At(s.after(d), fn) }
 
-// AtLane schedules fn at absolute time t (not before now) on lane l.
-func (s *Sim) AtLane(l Lane, t Time, fn func()) {
+// after converts a delay to an absolute time.
+func (s *Sim) after(d Time) Time {
+	if d < 0 {
+		panic("netsim: negative delay")
+	}
+	return s.now + d
+}
+
+// schedule queues a typed event at absolute time t (not before now).
+func (s *Sim) schedule(t Time, p payload) {
 	if t < s.now {
 		panic(fmt.Sprintf("netsim: scheduling into the past (%d < %d)", t, s.now))
 	}
 	s.seq++
-	q := s.lanes[l]
-	wasEmpty := len(q.events) == 0
-	headChanged := q.push(event{at: t, seq: s.seq, fn: fn})
-	s.pending++
-	if wasEmpty {
-		s.mergeAdd(int(l))
-	} else if headChanged {
-		s.mergeUp(q.pos)
-	}
-}
-
-// AfterLane schedules fn d nanoseconds from now on lane l.
-func (s *Sim) AfterLane(l Lane, d Time, fn func()) {
-	if d < 0 {
-		panic("netsim: negative delay")
-	}
-	s.AtLane(l, s.now+d, fn)
+	s.q.push(t, p)
 }
 
 // Jitter returns a duration drawn uniformly from
@@ -176,121 +209,33 @@ func (s *Sim) Jitter(d Time, frac float64) Time {
 	return Time(lo + s.rng.Float64()*(hi-lo))
 }
 
-// laneLess ranks two merge-heap entries by their lanes' head events.
-func (s *Sim) laneLess(a, b int) bool {
-	return eventLess(&s.lanes[a].events[0], &s.lanes[b].events[0])
+// step runs the earliest queued event.
+func (s *Sim) step() {
+	at, p := s.q.pop()
+	s.now = at
+	p.h.fire(p.frame, p.port)
 }
 
-// mergeSwap exchanges two merge-heap slots and fixes the lanes'
-// back-pointers.
-func (s *Sim) mergeSwap(i, j int) {
-	s.merge[i], s.merge[j] = s.merge[j], s.merge[i]
-	s.lanes[s.merge[i]].pos = i
-	s.lanes[s.merge[j]].pos = j
-}
-
-func (s *Sim) mergeUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.laneLess(s.merge[i], s.merge[p]) {
-			return
-		}
-		s.mergeSwap(i, p)
-		i = p
-	}
-}
-
-func (s *Sim) mergeDown(i int) {
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(s.merge) && s.laneLess(s.merge[l], s.merge[m]) {
-			m = l
-		}
-		if r < len(s.merge) && s.laneLess(s.merge[r], s.merge[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		s.mergeSwap(i, m)
-		i = m
-	}
-}
-
-// mergeAdd registers a newly non-empty lane in the merge heap.
-func (s *Sim) mergeAdd(lane int) {
-	s.lanes[lane].pos = len(s.merge)
-	s.merge = append(s.merge, lane)
-	s.mergeUp(s.lanes[lane].pos)
-}
-
-// mergeRemove drops a newly empty lane from the merge heap.
-func (s *Sim) mergeRemove(lane int) {
-	i := s.lanes[lane].pos
-	last := len(s.merge) - 1
-	s.mergeSwap(i, last)
-	s.merge = s.merge[:last]
-	s.lanes[lane].pos = -1
-	if i < last {
-		s.mergeDown(i)
-		s.mergeUp(i)
-	}
-}
-
-// popNext removes and returns the globally earliest event: the head
-// of the best-ranked lane in the merge heap.
-func (s *Sim) popNext() (event, bool) {
-	if len(s.merge) == 0 {
-		return event{}, false
-	}
-	lane := s.merge[0]
-	q := s.lanes[lane]
-	e := q.pop()
-	s.pending--
-	if len(q.events) == 0 {
-		s.mergeRemove(lane)
-	} else {
-		s.mergeDown(0)
-	}
-	return e, true
-}
-
-// head returns the globally earliest pending event without removing
-// it (nil when the queues are drained).
-func (s *Sim) head() *event {
-	if len(s.merge) == 0 {
-		return nil
-	}
-	return &s.lanes[s.merge[0]].events[0]
-}
-
-// Run executes events until every lane drains.
+// Run executes events until the queue drains.
 func (s *Sim) Run() {
-	for {
-		e, ok := s.popNext()
-		if !ok {
-			return
-		}
-		s.now = e.at
-		e.fn()
+	for s.q.n > 0 {
+		s.step()
 	}
 }
 
 // RunUntil executes events with timestamps ≤ deadline, then advances
 // the clock to the deadline. Later events stay queued.
 func (s *Sim) RunUntil(deadline Time) {
-	for h := s.head(); h != nil && h.at <= deadline; h = s.head() {
-		e, _ := s.popNext()
-		s.now = e.at
-		e.fn()
+	for s.q.due(deadline) {
+		s.step()
 	}
 	if s.now < deadline {
 		s.now = deadline
 	}
 }
 
-// Pending reports the number of queued events across all lanes.
-func (s *Sim) Pending() int { return s.pending }
+// Pending reports the number of queued events.
+func (s *Sim) Pending() int { return s.q.n }
 
 // Scheduled reports the total number of events scheduled since the
 // simulator was created — the denominator for events-per-second

@@ -39,7 +39,6 @@ func (c SwitchConfig) withDefaults() SwitchConfig {
 // the control plane.
 type Switch struct {
 	sim   *Sim
-	lane  Lane
 	cfg   SwitchConfig
 	pl    *tofino.Pipeline
 	ports map[tofino.Port]*Endpoint
@@ -63,10 +62,9 @@ type Switch struct {
 	OnDigest func(ds []tofino.Digest)
 }
 
-// NewSwitch wraps a loaded pipeline. Each switch gets its own event
-// lane: traversal events shard per switch and merge deterministically.
+// NewSwitch wraps a loaded pipeline.
 func NewSwitch(sim *Sim, cfg SwitchConfig, pl *tofino.Pipeline) *Switch {
-	return &Switch{sim: sim, lane: sim.NewLane(), cfg: cfg.withDefaults(), pl: pl, ports: make(map[tofino.Port]*Endpoint)}
+	return &Switch{sim: sim, cfg: cfg.withDefaults(), pl: pl, ports: make(map[tofino.Port]*Endpoint)}
 }
 
 // Pipeline exposes the loaded pipeline (control-plane access).
@@ -101,31 +99,35 @@ func (sw *Switch) ingress(p tofino.Port, frame []byte) {
 	// Constant traversal latency, independent of what the program
 	// does with the packet.
 	d := sw.sim.Jitter(sw.cfg.PipelineLatencyNs, sw.cfg.LatencyJitterFrac)
-	sw.sim.AfterLane(sw.lane, d, func() {
-		if sw.down {
-			// Crashed mid-traversal: the packet is lost with the
-			// pipeline state.
-			sw.DownDrops++
-			return
+	sw.sim.schedule(sw.sim.after(d), payload{h: sw, frame: frame, port: int(p)})
+}
+
+// fire is the typed traversal event: the frame, having spent the
+// pipeline latency, is processed and its emits sent.
+func (sw *Switch) fire(frame []byte, port int) {
+	if sw.down {
+		// Crashed mid-traversal: the packet is lost with the
+		// pipeline state.
+		sw.DownDrops++
+		return
+	}
+	sw.emits = sw.pl.ProcessAppend(sw.sim.Now(), frame, tofino.Port(port), sw.emits[:0])
+	for _, e := range sw.emits {
+		out, ok := sw.ports[e.Port]
+		if !ok {
+			continue // unattached port: black hole
 		}
-		sw.emits = sw.pl.ProcessAppend(sw.sim.Now(), frame, p, sw.emits[:0])
-		for _, e := range sw.emits {
-			out, ok := sw.ports[e.Port]
-			if !ok {
-				continue // unattached port: black hole
-			}
-			if sameSlice(e.Frame, frame) {
-				// Forwarded unchanged: the input frame already has
-				// link-delivery lifetime, pass it straight through.
-				out.Send(e.Frame)
-				continue
-			}
-			out.Send(sw.retain(e.Frame))
+		if sameSlice(e.Frame, frame) {
+			// Forwarded unchanged: the input frame already has
+			// link-delivery lifetime, pass it straight through.
+			out.Send(e.Frame)
+			continue
 		}
-		if sw.OnDigest != nil && sw.pl.PendingDigests() > 0 {
-			sw.OnDigest(sw.pl.DrainDigests())
-		}
-	})
+		out.Send(sw.retain(e.Frame))
+	}
+	if sw.OnDigest != nil && sw.pl.PendingDigests() > 0 {
+		sw.OnDigest(sw.pl.DrainDigests())
+	}
 }
 
 // arenaBlockSize sizes the switch's frame blocks: big enough to

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -262,6 +263,39 @@ func TestRunWorkersIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("workers=1 and workers=4 diverged:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestRunDeterministicAcrossProcsAndWorkers: the smoke preset's matrix
+// must be byte-identical for every worker count, whether the runtime
+// has one processor or two. Scheduling of the worker goroutines is the
+// only thing that varies; every cell is its own seeded simulation.
+func TestRunDeterministicAcrossProcsAndWorkers(t *testing.T) {
+	spec, ok := Preset("smoke")
+	if !ok {
+		t.Fatal("smoke preset missing")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 4} {
+			m, err := Run(spec, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS=%d workers=%d: matrix diverged from GOMAXPROCS=1 workers=1", procs, workers)
+			}
+		}
 	}
 }
 
